@@ -51,7 +51,8 @@ wall-clock seconds, lower is better, and are the ones regression-checked;
   ``fast_forward=True`` on the reference object kernel (bit-identical
   results, asserted in ``tests/test_sim_fast_forward.py``); the
   ``ff_speedup`` ratio is the macrobenchmark behind the replica-symmetry
-  certification claim and both timings are regression-gated.
+  certification claim, ``ff_vs_best`` the same gain over a full run on
+  the table lane, and both timings are regression-gated.
 
 The analog scenarios use a deterministic-read PCM config (programming
 noise and converters on, fixed drift time, read noise off) so the
@@ -307,6 +308,11 @@ def bench_final_mapping(config: BenchConfig) -> Dict[str, float]:
     lowering stages execute outside the timed region and the simulation
     stage runs uncached: the timing covers the event-driven simulation
     only, matching the ~520 ms seed baseline in ROADMAP.md.
+
+    The simulation stage runs the default engine, which is the compiled
+    table lane since the default moved off the array kernel.  Trajectory
+    points from that change on time the table lane, so the step down in
+    ``simulate_s`` there is the engine switch, not a regression.
     """
     scenario = Scenario(
         model="resnet18",
@@ -632,8 +638,10 @@ def bench_fast_forward_final(config: BenchConfig) -> Dict[str, float]:
     records), certifies every stage at its own anchor and extrapolates
     the rest in integer arithmetic.  Results are bit-identical (asserted
     in ``tests/test_sim_fast_forward.py`` and by the CI equivalence
-    step); ``ff_speedup`` is the headline ratio and both timings are
-    regression-gated.
+    step); both timings are regression-gated.  ``ff_speedup`` is measured
+    against the object kernel and kept so the trajectory stays
+    continuous; ``ff_vs_best`` is the honest ratio: a full run on the
+    table lane (the fastest full run) over the fast-forwarded run.
     """
     scenario = Scenario(
         model="resnet18",
@@ -667,6 +675,13 @@ def bench_fast_forward_final(config: BenchConfig) -> Dict[str, float]:
     }
     results["fast_forward_final.ff_speedup"] = (
         results["fast_forward_final.full_s"] / results["fast_forward_final.ff_s"]
+    )
+    table_full_s = _time(
+        lambda: simulate(arch, workload, engine="table", model_contention=False),
+        config.repeats,
+    )
+    results["fast_forward_final.ff_vs_best"] = (
+        table_full_s / results["fast_forward_final.ff_s"]
     )
     return results
 

@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from ..core.policies import available_policies, policy_class
-from ..sim.system import SIMULATION_ENGINES
+from ..sim.system import DEFAULT_ENGINE, SIMULATION_ENGINES
 from ..sim.workload import ARRIVAL_PROCESSES
 from .spec import SpecError, load_spec
 from .store import ArtifactStore
@@ -185,11 +185,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--engine",
         choices=SIMULATION_ENGINES,
         default=None,
-        help="pin the event kernel for every scenario (array: the "
-        "array-native kernel, the default; python: the object kernel; "
-        "table: the compiled state-machine lane — all bit-identical, kept "
-        "for cross-checks and performance comparison) — equivalent to "
-        "engine = \"...\" in the spec's [base] table",
+        help="pin the event kernel for every scenario (table: the "
+        "compiled state-machine lane; array: the array-native kernel; "
+        "python: the object kernel — all bit-identical, kept for "
+        f"cross-checks and performance comparison; default {DEFAULT_ENGINE}) "
+        "— equivalent to engine = \"...\" in the spec's [base] table",
     )
     parser.add_argument(
         "--arrivals",

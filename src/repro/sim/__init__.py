@@ -9,6 +9,7 @@ from .noc import LinkPool, NocModel, TransferRequest
 from .noc_array import ArrayNocModel
 from .steady_state import fast_forward_simulate
 from .system import (
+    DEFAULT_ENGINE,
     SIMULATION_ENGINES,
     SimulationRecord,
     SimulationResult,
@@ -48,6 +49,7 @@ __all__ = [
     "ClusterActivity",
     "ClusterModel",
     "CreditStore",
+    "DEFAULT_ENGINE",
     "DataFlow",
     "DeterministicArrivals",
     "ENDPOINT_HBM",

@@ -48,15 +48,17 @@ so ``fast_forward=True`` is always safe, merely not always faster.  See
 
 from __future__ import annotations
 
+import bisect
 import logging
 import math
+from collections import Counter
 
 import numpy as np
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..arch.config import ArchConfig
-from .system import SimulationResult, SystemSimulator
+from .system import DEFAULT_ENGINE, SimulationResult, SystemSimulator
 from .workload import (
     ENDPOINT_HBM,
     ENDPOINT_STAGE,
@@ -160,7 +162,7 @@ class _ProbeSimulator(SystemSimulator):
     call of the final stage), so window-to-window comparisons are exact.
     """
 
-    def __init__(self, arch, workload, model_contention, buffer_depth, engine="array"):
+    def __init__(self, arch, workload, model_contention, buffer_depth, engine):
         super().__init__(
             arch,
             workload,
@@ -253,6 +255,7 @@ def _analyze(probe: _ProbeSimulator, result: SimulationResult, window: int) -> O
         return None
 
     # every stage's completion trace must be periodic with the same period
+    anchor_time = snaps[anchor][0]
     stage_heads: Dict[int, int] = {}
     for stage_id in result.jobs_completed:
         trace = result.tracer.stage_completions.get(stage_id, ())
@@ -265,6 +268,14 @@ def _analyze(probe: _ProbeSimulator, result: SimulationResult, window: int) -> O
         head = trace_end + 2  # trace[:head] ends inside the certified region
         if head - 1 - window < 0 or trace[head - 1] - trace[head - 1 - window] != period:
             return None
+        # the full run repeats the window right after the anchor, so every
+        # probe completion between the anchor and the head must too: a
+        # periodic-looking run *after* a drain deviation is not the steady
+        # state, and splicing there would keep the deviation in the head
+        first = bisect.bisect_right(trace, anchor_time)
+        for j in range(max(first, window), head):
+            if trace[j] - trace[j - window] != period:
+                return None
         stage_heads[stage_id] = head
 
     # per-cluster, per-stage and per-link activity must grow by the same
@@ -608,6 +619,19 @@ class _ReplicaProbeSimulator(SystemSimulator):
         tracer.record_analog_job = record_analog_job  # type: ignore[method-assign]
         tracer.record_cluster = record_cluster  # type: ignore[method-assign]
         tracer.record_stage_job = record_stage_job  # type: ignore[method-assign]
+
+    def run(self) -> SimulationResult:
+        result = super().run()
+        # the tracer leaves with the extrapolated result, and local
+        # closures cannot be pickled: unshadow the class methods
+        for name in (
+            "record_communication",
+            "record_analog_job",
+            "record_cluster",
+            "record_stage_job",
+        ):
+            del vars(self.tracer)[name]
+        return result
 
 
 @dataclass
@@ -1790,12 +1814,43 @@ def _replica_fast_forward(
     )
 
 
+def _witnessed_window(workload: Workload) -> int:
+    """Largest round-robin window a global window provably has to cover.
+
+    A stage's ``lcm(replication, digital_slots)`` counts when every analog
+    replica and every digital slot group owns a *witness* cluster that no
+    other replica or group records on: the witnesses' per-cluster counters
+    then tell the round-robin residues apart, so every certified global
+    window is a multiple of it (argument in ``docs/simulator.md``).  Stages
+    without witnesses — only hand-built workloads share clusters between
+    replicas — count as 1.
+    """
+    # (stage, counter kind, round-robin count, groups recording on it)
+    shapes = []
+    for d in workload.stages:
+        if d.is_analog:
+            shapes.append((d.stage_id, "analog", d.replication, d.analog_replicas))
+        if d.cost.digital_cycles_per_job > 0:
+            shapes.append(
+                (d.stage_id, "digital", d.digital_slots, _partition_digital(d))
+            )
+    owners = Counter(
+        (kind, c) for _, kind, _, groups in shapes for group in groups
+        for c in set(group)
+    )
+    windows = {d.stage_id: 1 for d in workload.stages}
+    for stage_id, kind, count, groups in shapes:
+        if all(any(owners[kind, c] == 1 for c in group) for group in groups):
+            windows[stage_id] = math.lcm(windows[stage_id], count)
+    return max(windows.values())
+
+
 def fast_forward_simulate(
     arch: ArchConfig,
     workload: Workload,
     model_contention: bool = True,
     buffer_depth: int = 2,
-    engine: str = "array",
+    engine: str = DEFAULT_ENGINE,
 ) -> Union[SimulationResult, "FastForwardRefusal"]:
     """Simulate ``workload`` by steady-state extrapolation when provably exact.
 
@@ -1826,6 +1881,17 @@ def fast_forward_simulate(
     q_max = max(
         math.lcm(d.replication, d.digital_slots) for d in workload.stages
     )
+    witnessed = _witnessed_window(workload) if model_contention else 1
+    if witnessed > MAX_WINDOW:
+        # no window <= MAX_WINDOW can certify, and the replica path needs
+        # contention off: refuse without spending a probe
+        return FastForwardRefusal(
+            REFUSAL_WINDOW_TOO_LARGE,
+            f"effective replica window {witnessed} exceeds the global "
+            f"certification cap {MAX_WINDOW}; replica-symmetry "
+            f"certification requires model_contention=False",
+            tuple(attempts),
+        )
     if model_contention or q_max <= MAX_WINDOW:
         extrapolated = _global_fast_forward(
             arch, workload, model_contention, buffer_depth, engine, attempts

@@ -69,11 +69,16 @@ from .workload import (
 SIMULATION_PAYLOAD_VERSION = 4
 
 #: valid values of the ``engine`` argument of :func:`simulate` /
-#: :class:`SystemSimulator`: the array-native kernel (default), the
-#: original object kernel it is bit-identical to, and the compiled
-#: state-machine lane (:mod:`repro.sim.system_table`), bit-identical to
-#: both.
+#: :class:`SystemSimulator`: the array-native kernel, the original object
+#: kernel it is bit-identical to, and the compiled state-machine lane
+#: (:mod:`repro.sim.system_table`), bit-identical to both.
 SIMULATION_ENGINES = ("array", "python", "table")
+
+#: the engine every layer uses unless told otherwise (:func:`simulate`,
+#: the fast-forward, the scenario pipeline, its cache keys and the CLI):
+#: the compiled table lane, 1.7-1.9x the array kernel on the paper's
+#: ResNet-18 ladder with bit-identical results.
+DEFAULT_ENGINE = "table"
 
 
 @dataclass(frozen=True)
@@ -529,7 +534,7 @@ class SystemSimulator:
         workload: Workload,
         model_contention: bool = True,
         buffer_depth: int = 2,
-        engine: str = "array",
+        engine: str = DEFAULT_ENGINE,
     ):
         if engine not in SIMULATION_ENGINES:
             raise ValueError(
@@ -1087,7 +1092,7 @@ def simulate(
     model_contention: bool = True,
     buffer_depth: int = 2,
     fast_forward: bool = False,
-    engine: str = "array",
+    engine: str = DEFAULT_ENGINE,
 ) -> SimulationResult:
     """Convenience wrapper: build a simulator and run the workload.
 
@@ -1104,16 +1109,18 @@ def simulate(
     result (``fast_forward_refusal``), so ``fast_forward=True`` is always
     safe, merely not always faster.
 
-    ``engine`` selects the event kernel: ``"array"`` (default) runs the
-    array-native kernel (:mod:`repro.sim.engine_array` /
-    :mod:`repro.sim.noc_array`), ``"python"`` the original object kernel,
-    and ``"table"`` the compiled state-machine lane
+    ``engine`` selects the event kernel: ``"table"`` (the default,
+    :data:`DEFAULT_ENGINE`) runs the compiled state-machine lane
     (:mod:`repro.sim.engine_table` / :mod:`repro.sim.system_table`), which
     replaces the per-event callbacks with opcode dispatch over flat state
-    vectors.  All three produce bit-identical results (asserted in
+    vectors; ``"array"`` the array-native kernel
+    (:mod:`repro.sim.engine_array` / :mod:`repro.sim.noc_array`), and
+    ``"python"`` the original object kernel.  All three produce
+    bit-identical results (asserted in
     ``tests/test_sim_kernel_equivalence.py`` and
-    ``tests/test_sim_engine_table.py``); the switches exist as safety nets
-    and as a sweepable scenario axis.
+    ``tests/test_sim_engine_table.py``); the table lane is the default
+    because it is the fastest, and the other two stay selectable as
+    safety nets and as a sweepable scenario axis.
     """
     if engine not in SIMULATION_ENGINES:
         raise ValueError(

@@ -207,8 +207,10 @@ class TestScenarios:
             "fast_forward_final.full_s",
             "fast_forward_final.ff_s",
             "fast_forward_final.ff_speedup",
+            "fast_forward_final.ff_vs_best",
         }
         assert results["fast_forward_final.full_s"] > 0
+        assert results["fast_forward_final.ff_vs_best"] > 0
         assert results["fast_forward_final.ff_s"] > 0
 
     def test_new_scenarios_are_in_the_default_gate(self):

@@ -258,9 +258,13 @@ class TestClosedBatchBackCompat:
         assert content_digest(workload) == PINNED_CHAIN_DIGEST
 
     def test_closed_simulation_key_byte_identical_to_pre_serving_tree(self):
+        # the key was pinned while the array kernel was the default engine
         digest = content_digest(_chain(n_jobs=48, replication=2))
+        assert simulation_key(
+            arch_key(ARCH64), digest, True, 2, engine="array"
+        ) == PINNED_SIMULATION_KEY
         assert simulation_key(arch_key(ARCH64), digest, True, 2) == (
-            PINNED_SIMULATION_KEY
+            simulation_key(arch_key(ARCH64), digest, True, 2, engine="table")
         )
 
     def test_open_digest_differs_and_depends_on_schedule(self):

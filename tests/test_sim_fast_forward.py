@@ -12,6 +12,7 @@ equivalence assertions cannot silently pass through fallback alone.
 
 import dataclasses
 import logging
+import pickle
 import random
 
 import pytest
@@ -35,6 +36,7 @@ from repro.sim import (
 )
 from repro.sim.steady_state import (
     MIN_JOBS,
+    REFUSAL_NON_PERIODIC,
     REFUSAL_OPEN_WORKLOAD,
     REFUSAL_PROBE_TOO_SHORT,
     REFUSAL_WINDOW_TOO_LARGE,
@@ -301,6 +303,52 @@ class TestFinalMapping:
         refusal = ff.fast_forward_refusal
         assert refusal is not None
         assert refusal.reason == REFUSAL_WINDOW_TOO_LARGE
+        assert refusal.probes == ()  # refused before any probe ran
+
+    def test_engaged_result_survives_a_payload_pickle(self, final_macro):
+        arch, workload = final_macro
+        ff = simulate(arch, workload, model_contention=False, fast_forward=True)
+        assert ff.fast_forwarded
+        payload = pickle.loads(pickle.dumps(ff.to_payload()))
+        restored = SimulationResult.from_payload(payload, arch, workload)
+        full = simulate(arch, workload, model_contention=False)
+        assert result_mismatches(ff, restored) == []
+        assert result_mismatches(full, restored, ignore_provenance=True) == []
+
+    def test_engaged_result_is_served_from_a_warm_store(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.scenarios import ArtifactStore
+        from repro.scenarios import pipeline as pipeline_module
+
+        calls = []
+        real = pipeline_module.simulate
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline_module, "simulate", counting)
+        scenario = Scenario(
+            model="resnet18",
+            input_shape=(3, 256, 256),
+            batch_size=64,
+            level="final",
+            n_clusters=512,
+            crossbar_size=256,
+            model_contention=False,
+            fast_forward=True,
+        )
+        store = ArtifactStore(tmp_path / "store")
+        cold = run_scenario(scenario, ArtifactCache(store=store))
+        assert cold.simulation.fast_forwarded
+        assert len(calls) == 1
+        warm_cache = ArtifactCache(store=store)  # a new process
+        warm = run_scenario(scenario, warm_cache)
+        assert len(calls) == 1  # zero simulate() calls on the warm pass
+        assert warm_cache.stats.disk_hit_count("simulation") == 1
+        assert warm.simulation == cold.simulation
+        assert warm.metrics == cold.metrics
 
 
 # --------------------------------------------------------------------------- #
@@ -322,17 +370,51 @@ class TestRefusalTaxonomy:
         assert isinstance(refusal, FastForwardRefusal)
         assert refusal.reason == REFUSAL_OPEN_WORKLOAD
 
-    def test_wide_replicas_under_contention_record_rejected_windows(self):
-        # q_max = 13 exceeds MAX_WINDOW: under contention the replica path
-        # is unavailable, and the refusal must carry the probe attempts
-        # and the candidate windows the global path rejected — the cap is
-        # typed and traceable, not silent.
+    def test_wide_replicas_under_contention_refuse_before_probing(self):
+        # q_max = 13 exceeds MAX_WINDOW and every replica owns its cluster,
+        # so no global window <= MAX_WINDOW can certify; under contention
+        # the replica path is unavailable, so the refusal is typed without
+        # running a probe, and the fallback full run stays bit-identical.
         workload = _chain(n_jobs=96, replication=13)
         refusal = fast_forward_simulate(ARCH64, workload, model_contention=True)
         assert isinstance(refusal, FastForwardRefusal)
         assert refusal.reason == REFUSAL_WINDOW_TOO_LARGE
-        assert refusal.probes
+        assert refusal.probes == ()
+        full = simulate(ARCH64, workload)
+        ff = simulate(ARCH64, workload, fast_forward=True)
+        assert ff.fast_forward_refusal == refusal
+        assert_identical(full, ff)
+
+    def test_rejected_global_windows_are_recorded(self):
+        # the replicated ResNet-18 (q_max <= MAX_WINDOW) is probed under
+        # contention and refused: the refusal carries the probe attempt and
+        # the candidate windows it rejected, so the cliff is traceable
+        arch, workload = _zoo_workload(
+            "resnet18", (3, 64, 64), "replicated", 64, 256
+        )
+        refusal = fast_forward_simulate(arch, workload)
+        assert isinstance(refusal, FastForwardRefusal)
+        assert refusal.reason == REFUSAL_NON_PERIODIC
         assert any("rejected" in line for line in refusal.probes)
+
+    def test_replicas_without_witness_clusters_still_probe(self):
+        # 13 replicas sharing one cluster: no per-cluster counter tells
+        # the round-robin residues apart, so the global probe still runs —
+        # and certifies W=1.  The final stage's probe trace has a drain
+        # deviation followed by a periodic-looking tail; the splice must
+        # keep that deviation in the shifted tail, or the extrapolated
+        # trace diverges from the full run.
+        workload = _chain(n_jobs=96, replication=13)
+        stages = [
+            dataclasses.replace(d, analog_replicas=((d.stage_id,),) * 13)
+            for d in workload.stages
+        ]
+        workload = dataclasses.replace(workload, stages=tuple(stages))
+        for engine in SIMULATION_ENGINES:
+            full = simulate(ARCH64, workload, engine=engine)
+            ff = simulate(ARCH64, workload, fast_forward=True, engine=engine)
+            assert ff.fast_forwarded, f"{engine}: {ff.fast_forward_refusal}"
+            assert_identical(full, ff)
 
     def test_probe_escalation_is_logged(self, caplog):
         # window 5 never divides the first probe's remaining job count, so

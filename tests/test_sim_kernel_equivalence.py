@@ -24,6 +24,8 @@ Three layers of coverage:
   does not touch.
 """
 
+import inspect
+import json
 import random
 
 import pytest
@@ -41,6 +43,7 @@ from repro.sim import (
     result_mismatches,
     simulate,
 )
+from repro.sim.system import DEFAULT_ENGINE, SIMULATION_ENGINES
 
 from test_sim_fast_forward import ARCH64, SYNTHETIC, ZOO, _chain, _zoo_workload
 
@@ -287,9 +290,12 @@ class TestBoundedRunEquivalence:
 # --------------------------------------------------------------------------- #
 class TestEngineCacheKey:
     def test_engines_key_separately(self):
-        base = simulation_key("a", "w", True, 2)
-        assert simulation_key("a", "w", True, 2, engine="array") == base
+        base = simulation_key("a", "w", True, 2, engine="array")
         assert simulation_key("a", "w", True, 2, engine="python") != base
+        assert simulation_key("a", "w", True, 2, engine="table") != base
+        assert simulation_key("a", "w", True, 2) == simulation_key(
+            "a", "w", True, 2, engine="table"
+        )
 
     def test_engine_and_fast_forward_axes_are_independent(self):
         keys = {
@@ -306,3 +312,50 @@ class TestEngineCacheKey:
         assert open_key != base
         assert simulation_key("a", "w", True, 2, arrivals=(0, 10, 21)) != open_key
         assert simulation_key("a", "w", True, 2, arrivals=(0, 10, 20)) == open_key
+
+
+# --------------------------------------------------------------------------- #
+# The default engine: one constant, read by every layer
+# --------------------------------------------------------------------------- #
+class TestDefaultEngine:
+    def test_default_is_the_table_lane(self):
+        assert DEFAULT_ENGINE == "table"
+        assert DEFAULT_ENGINE in SIMULATION_ENGINES
+
+    def test_every_layer_defaults_to_it(self):
+        from repro.scenarios import Scenario, simulation_stage
+        from repro.sim import SystemSimulator, fast_forward_simulate
+
+        assert Scenario().engine == DEFAULT_ENGINE
+        for function in (
+            simulate,
+            SystemSimulator,
+            simulation_stage,
+            simulation_key,
+            fast_forward_simulate,
+        ):
+            default = inspect.signature(function).parameters["engine"].default
+            assert default == DEFAULT_ENGINE, function.__name__
+
+    def test_cli_runs_the_default_engine(self, tmp_path):
+        from repro.scenarios.cli import main as cli_main
+
+        spec = tmp_path / "spec.json"
+        spec.write_text(
+            json.dumps(
+                {
+                    "name": "default-engine",
+                    "base": {
+                        "model": "tiny_cnn",
+                        "input_shape": [3, 32, 32],
+                        "num_classes": 10,
+                        "n_clusters": 16,
+                        "batch_size": 2,
+                    },
+                }
+            )
+        )
+        out = tmp_path / "out.json"
+        assert cli_main([str(spec), "--json", str(out), "--no-store"]) == 0
+        (outcome,) = json.loads(out.read_text())["outcomes"]
+        assert outcome["scenario"]["engine"] == DEFAULT_ENGINE
