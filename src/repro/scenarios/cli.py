@@ -186,9 +186,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         choices=SIMULATION_ENGINES,
         default=None,
         help="pin the event kernel for every scenario (table: the "
-        "compiled state-machine lane; array: the array-native kernel; "
-        "python: the object kernel — all bit-identical, kept for "
-        f"cross-checks and performance comparison; default {DEFAULT_ENGINE}) "
+        "compiled state-machine lane; python: the object kernel — "
+        "bit-identical, kept as the golden reference and for performance "
+        f"comparison; default {DEFAULT_ENGINE}) "
         "— equivalent to engine = \"...\" in the spec's [base] table",
     )
     parser.add_argument(

@@ -264,16 +264,16 @@ def simulation_key(
     the key even though fast-forwarded results are bit-identical on every
     metric: the persisted payload records the ``fast_forwarded`` provenance
     flag, and serving one mode's artifact to the other would misreport it.
-    ``engine`` (table vs array vs python kernel; the default is
+    ``engine`` (table vs python kernel; the default is
     :data:`~repro.sim.system.DEFAULT_ENGINE`, the table lane) is likewise
     part of the key despite bit-identical payloads: a sweep that pins the
     kernel must actually run it — serving another kernel's artifact would
     silently mask any divergence the kernel-equivalence suite exists to
     catch.  Adding the axis changed every simulation key once; historical
-    artifacts miss cleanly and are re-simulated.  For the same reason an
-    artifact persisted under the array kernel while it was the default
-    keeps serving ``engine="array"``, and a default-engine request misses
-    it once and rebuilds under the table key.
+    artifacts miss cleanly and are re-simulated.  This function only
+    renders the key and does not validate the engine name: artifacts
+    persisted under the retired ``"array"`` kernel keep their keys, but
+    no valid scenario requests them any more, so they simply go unread.
 
     ``arrivals`` carries the *resolved* arrival schedule of an open-system
     workload — the tuple of per-job arrival cycles, never the generator

@@ -264,9 +264,8 @@ def simulation_stage(
     ``fast_forwarded`` provenance flag stays truthful.  ``engine`` selects
     the event kernel: the compiled table lane by default
     (:data:`~repro.sim.system.DEFAULT_ENGINE`, the fastest), or the
-    array-native or object kernel; the kernels are bit-identical but key
-    separately so a pinned-kernel sweep really exercises the kernel it
-    pinned.
+    object kernel; the kernels are bit-identical but key separately so a
+    pinned-kernel sweep really exercises the kernel it pinned.
 
     ``arrivals`` accepts every spelling
     :func:`~repro.sim.workload.resolve_arrivals` does; when given, the

@@ -301,12 +301,12 @@ class Scenario:
     #: carries the ``fast_forwarded`` provenance marker.
     fast_forward: bool = False
     #: which event-kernel implementation runs the simulation stage:
-    #: ``"table"`` (the compiled state-machine lane, default and fastest),
-    #: ``"array"`` (the array-native kernel) or ``"python"`` (the object
-    #: kernel).  All three are bit-identical, so this is a performance
-    #: axis; it is still part of the simulation cache key so a sweep that pins it
-    #: never reuses another kernel's artifacts (which would mask any
-    #: divergence the equivalence suite is meant to catch).
+    #: ``"table"`` (the compiled state-machine lane, default and fastest)
+    #: or ``"python"`` (the object kernel, the golden reference).  Both are
+    #: bit-identical, so this is a performance axis; it is still part of
+    #: the simulation cache key so a sweep that pins it never reuses
+    #: another kernel's artifacts (which would mask any divergence the
+    #: equivalence suite is meant to catch).
     engine: str = DEFAULT_ENGINE
     # -- serving axis: open-system arrival process ------------------------- #
     #: arrival-process spec making the scenario an open-system serving run:

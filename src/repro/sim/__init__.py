@@ -3,10 +3,8 @@
 from .cluster_model import ClusterModel, L1OverflowError
 from .compare import assert_results_identical, result_mismatches
 from .engine import Barrier, CreditStore, Engine, Server, SimulationError
-from .engine_array import BATCH_MIN, ArrayEngine, K_DMA_START, K_TRANSFER_DRAIN, ROW_DTYPE
 from .ima_model import IMAJob, IMATimingModel
 from .noc import LinkPool, NocModel, TransferRequest
-from .noc_array import ArrayNocModel
 from .steady_state import fast_forward_simulate
 from .system import (
     DEFAULT_ENGINE,
@@ -38,11 +36,8 @@ from .workload import (
 
 __all__ = [
     "ARRIVAL_PROCESSES",
-    "ArrayEngine",
-    "ArrayNocModel",
     "ArrivalError",
     "ArrivalTraceError",
-    "BATCH_MIN",
     "Barrier",
     "BurstyArrivals",
     "CATEGORIES",
@@ -58,13 +53,10 @@ __all__ = [
     "Engine",
     "IMAJob",
     "IMATimingModel",
-    "K_DMA_START",
-    "K_TRANSFER_DRAIN",
     "L1OverflowError",
     "LinkPool",
     "NocModel",
     "PoissonArrivals",
-    "ROW_DTYPE",
     "SIMULATION_ENGINES",
     "Server",
     "SimulationError",

@@ -15,12 +15,11 @@ The cluster also tracks its L1 occupancy so mappings that overflow the 1 MB
 scratchpad are rejected (that constraint is what forces data tiling and the
 residual spill decisions in the paper).
 
-The IMA and core-complex servers run unchanged on both event kernels (the
-array kernel's typed-row fast path only replaces *deterministic* resources;
-see ``docs/simulator.md``).  The DMA, whose per-channel slots are exactly
-such a resource, is bypassed by :class:`repro.sim.system.SystemSimulator`
-in array mode via flat slot vectors — keep its timing in sync with that
-path when editing either.
+The compiled table lane (:mod:`repro.sim.system_table`) replaces these
+servers with flat counters and vectors — the DMA, whose per-channel slots
+are a *deterministic* resource, becomes a per-cluster heap of channel
+free-at cycles (see ``docs/simulator.md``) — so keep its timing in sync
+with that path when editing either.
 """
 
 from __future__ import annotations

@@ -1,60 +1,57 @@
 """Cycle-batched state-machine dispatch: opcode rows + a handler jump table.
 
-The array kernel (:mod:`repro.sim.engine_array`) removed the per-event
-*bookkeeping* of deterministic resources — a typed row replaces a server
-job, a barrier and a bound-method event — but every row still resolves to
-one Python **callback**, and profiling the FINAL-mapping run shows the
-remaining floor is exactly those callbacks: per-job closures created by
-``_StageRuntime`` (start/finish/deliver), credit-grant lambdas, and the
-chunk fan-out's per-group ``start_noc`` closures.
+Profiling the FINAL-mapping run on the object kernel (:mod:`repro.sim.engine`)
+shows the hot interior is the per-event Python **callbacks** and the
+bookkeeping around them: per-job closures created by ``_StageRuntime``
+(start/finish/deliver), credit-grant lambdas, per-link ``Server`` jobs and
+barrier arrivals whose only purpose is to delay one completion by a
+statically known number of cycles.
 
-:class:`TableEngine` adds a second typed lane for *compiled* state
-machines: an **opcode row**.  Where a callback row stores ``(kind,
-cycles, callback)``, an opcode row stores ``(op, cycles, arg)`` — ``op``
-is an integer event kind at or above :data:`K_OP_BASE` that indexes a
-handler jump table registered once per run (:meth:`set_handlers`), and
-``arg`` is usually a packed integer (``state_id * n_jobs + job``) naming
-a slot in the client's flat state vectors.  Dispatching an opcode row is
-one table lookup plus one handler call on dense integer state — no
-closure is ever allocated, and the client's transition logic
+:class:`TableEngine` keeps the object kernel's bucketed queue (heap of
+distinct timestamps, FIFO list per timestamp, zero-heap same-cycle lane)
+and its exact dispatch contract, but adds a typed lane for *compiled*
+state machines: an **opcode row**.  An event may be a plain callable *or*
+an integer row index into a columnar (structure-of-arrays) table of
+pending rows::
+
+    op      int   index into the handler jump table (:meth:`set_handlers`)
+    cycles  int   pending deferral, or the consumed marker
+    arg     obj   the handler argument
+
+``arg`` is usually a packed integer (``state_id * n_jobs + job``) naming a
+slot in the client's flat state vectors.  Dispatching an opcode row is one
+table lookup plus one handler call on dense integer state — no closure is
+ever allocated, and the client's transition logic
 (:class:`repro.sim.system_table.TableProgram`) advances whole lifecycle
 steps per handler call instead of one callback hop each.
 
-Two scheduling entry points mirror the callback lane exactly:
+Two scheduling entry points:
 
 * :meth:`sched_op` ≡ ``at(time, lambda: handler(arg))`` — the handler
   runs when the row is dispatched;
-* :meth:`defer_op` ≡ ``defer_at(time, cycles, lambda: handler(arg))`` —
-  at dispatch the row *re-queues itself* into bucket ``time + cycles``
-  (zero allocation: the row flips its ``cycles`` field to the consumed
-  marker), and the handler runs when the re-queued row is dispatched.
-  A ``cycles == 0`` deferral re-queues at the tail of the active bucket,
-  byte-identical to the callback lane's ``after(0, ...)`` ordering.
+* :meth:`defer_op` ≡ ``at(time, lambda: after(cycles, lambda:
+  handler(arg)))`` — at dispatch the row *re-queues itself* into bucket
+  ``time + cycles`` (zero allocation: the row flips its ``cycles`` field
+  to the consumed marker), and the handler runs when the re-queued row is
+  dispatched.  A ``cycles == 0`` deferral re-queues at the tail of the
+  active bucket, byte-identical to ``after(0, ...)`` ordering.
 
-Callback rows and plain callables keep flowing through the same buckets
-unchanged — mixed runs dispatch in exact bucket order — so everything the
-tables do not compile (external feeds, re-entrant credit waiters,
-mid-batch ``max_events`` truncation) falls back to callback dispatch with
-no special cases.  Event counts per path equal the array kernel's 1:1,
-which keeps bounded runs and event-order equivalence exact; the
-bit-identity gate is ``tests/test_sim_kernel_equivalence.py`` plus the
-three-way matrix in ``tests/test_sim_engine_table.py``.
+Plain callables keep flowing through the same buckets unchanged — mixed
+runs dispatch in exact bucket order — so everything the tables do not
+compile (external feeds, re-entrant credit waiters) stays a callback, and
+the object primitives (:class:`~repro.sim.engine.Server`,
+:class:`~repro.sim.engine.CreditStore`) run on this engine as on the
+object kernel.  Every row counts as one event; a bounded ``max_events``
+run may stop between rows of one bucket and resumes in order.  The
+bit-identity gate is ``tests/test_sim_kernel_equivalence.py``.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from .engine import Callback, SimulationError
-from .engine_array import ArrayEngine, BATCH_MIN
-
-#: first opcode kind.  Kinds below this are the array kernel's callback
-#: rows (``K_TRANSFER_DRAIN``/``K_DMA_START``); kinds at or above it index
-#: the handler jump table as ``handlers[kind - K_OP_BASE]``.
-K_OP_BASE = 16
+from .engine import Engine, SimulationError
 
 #: ``cycles`` marker of an opcode row whose deferral (if any) has been
 #: consumed: dispatching it runs the handler.  ``sched_op`` rows are born
@@ -63,32 +60,35 @@ K_OP_BASE = 16
 _CONSUMED = -1
 
 
-class TableEngine(ArrayEngine):
-    """Array engine with an opcode lane dispatched through a jump table.
+class TableEngine(Engine):
+    """Event queue with an opcode lane dispatched through a jump table.
 
-    A drop-in :class:`ArrayEngine`: callables, callback rows and opcode
-    rows coexist in the same buckets and dispatch in exact FIFO order.
-    Opcode rows reuse the columnar row storage — the ``callback`` object
-    column holds the handler argument, the ``cycles`` column doubles as
-    the deferral/consumed state — so the free list is shared and
-    :meth:`~ArrayEngine.reset` compacts both lanes at once.
+    A drop-in :class:`~repro.sim.engine.Engine`: ``at``/``after``/``run``
+    keep their exact semantics for callable events, and callables and
+    opcode rows coexist in the same buckets, dispatching in FIFO order.
     """
 
-    __slots__ = ("_handlers",)
+    __slots__ = ("_row_op", "_row_cycles", "_row_arg", "_free_rows", "_handlers")
 
     def __init__(self):
         super().__init__()
+        # columnar row storage (structure-of-arrays); rows are recycled
+        # through a free list so the table stays dense.
+        self._row_op: List[int] = []
+        self._row_cycles: List[int] = []
+        self._row_arg: List[object] = []
+        self._free_rows: List[int] = []
         self._handlers: Tuple = ()
 
     def set_handlers(self, handlers: Sequence) -> None:
-        """Register the opcode jump table: ``handlers[op - K_OP_BASE]``."""
+        """Register the opcode jump table: row ``op`` runs ``handlers[op]``."""
         self._handlers = tuple(handlers)
 
     # ------------------------------------------------------------------ #
     # Opcode lane
     # ------------------------------------------------------------------ #
     def sched_op(self, time: int, op: int, arg) -> None:
-        """Schedule ``handlers[op - K_OP_BASE](arg)`` at ``time``.
+        """Schedule ``handlers[op](arg)`` at ``time``.
 
         One event, like ``at(time, callback)``; the handler runs when the
         row is dispatched.
@@ -100,14 +100,14 @@ class TableEngine(ArrayEngine):
         free = self._free_rows
         if free:
             row = free.pop()
-            self._row_kind[row] = op
+            self._row_op[row] = op
             self._row_cycles[row] = _CONSUMED
-            self._row_callback[row] = arg
+            self._row_arg[row] = arg
         else:
-            row = len(self._row_kind)
-            self._row_kind.append(op)
+            row = len(self._row_op)
+            self._row_op.append(op)
             self._row_cycles.append(_CONSUMED)
-            self._row_callback.append(arg)
+            self._row_arg.append(arg)
         if time == self._now and self._active is not None:
             self._active.append(row)
             return
@@ -119,14 +119,14 @@ class TableEngine(ArrayEngine):
             bucket.append(row)
 
     def defer_op(self, time: int, cycles: int, op: int, arg) -> None:
-        """At ``time``, defer ``handlers[op - K_OP_BASE](arg)`` by ``cycles``.
+        """At ``time``, defer ``handlers[op](arg)`` by ``cycles``.
 
-        Two events, like :meth:`~ArrayEngine.defer_at`: the row is
-        dispatched at ``time`` and re-queues *itself* into bucket
-        ``time + cycles`` (flipping ``cycles`` to the consumed marker —
-        no second allocation), where its dispatch runs the handler.  The
-        insertion into the target bucket happens at simulated time
-        ``time``, preserving the object kernel's FIFO position.
+        Two events: the row is dispatched at ``time`` and re-queues
+        *itself* into bucket ``time + cycles`` (flipping ``cycles`` to the
+        consumed marker — no second allocation), where its dispatch runs
+        the handler.  The insertion into the target bucket happens at
+        simulated time ``time``, preserving the object kernel's FIFO
+        position (where its server-finish events are inserted).
         """
         if time < self._now:
             raise SimulationError(
@@ -137,14 +137,14 @@ class TableEngine(ArrayEngine):
         free = self._free_rows
         if free:
             row = free.pop()
-            self._row_kind[row] = op
+            self._row_op[row] = op
             self._row_cycles[row] = cycles
-            self._row_callback[row] = arg
+            self._row_arg[row] = arg
         else:
-            row = len(self._row_kind)
-            self._row_kind.append(op)
+            row = len(self._row_op)
+            self._row_op.append(op)
             self._row_cycles.append(cycles)
-            self._row_callback.append(arg)
+            self._row_arg.append(arg)
         if time == self._now and self._active is not None:
             self._active.append(row)
             return
@@ -155,29 +155,45 @@ class TableEngine(ArrayEngine):
         else:
             bucket.append(row)
 
+    def reset(self) -> None:
+        """Release the row table and free list (post-run compaction).
+
+        Row storage grows to the run's peak number of in-flight rows and
+        is only ever recycled, never shrunk, while events are pending.  A
+        long-lived worker (e.g. a ``SweepRunner`` process that keeps
+        simulators or engines reachable between scenarios) would otherwise
+        retain the peak-size columns; after a drained run this drops them.
+        Raises :class:`SimulationError` when called mid-run or with events
+        still queued — a reset must never orphan a live row index sitting
+        in a bucket.
+        """
+        if self._running:
+            raise SimulationError("cannot reset an engine from inside run()")
+        if self._times:
+            raise SimulationError("cannot reset an engine with pending events")
+        self._row_op.clear()
+        self._row_cycles.clear()
+        self._row_arg.clear()
+        self._free_rows.clear()
+
     # ------------------------------------------------------------------ #
-    # Dispatch overrides
+    # Dispatch
     # ------------------------------------------------------------------ #
     def _dispatch_row(self, row: int) -> None:
-        kind = self._row_kind[row]
-        if kind < K_OP_BASE:
-            ArrayEngine._dispatch_row(self, row)
-            return
+        """Dispatch one opcode row at the current time (the bounded path)."""
         cycles = self._row_cycles[row]
         if cycles < 0:
-            arg = self._row_callback[row]
-            self._row_callback[row] = None
+            arg = self._row_arg[row]
+            self._row_arg[row] = None
             self._free_rows.append(row)
-            self._handlers[kind - K_OP_BASE](arg)
+            self._handlers[self._row_op[row]](arg)
             return
         # deferral pending: re-queue this same row, deferral consumed
         self._row_cycles[row] = _CONSUMED
-        time = self._now + cycles
         if cycles == 0:
-            active = self._active
-            if active is not None:
-                active.append(row)
-                return
+            self._active.append(row)
+            return
+        time = self._now + cycles
         bucket = self._buckets.get(time)
         if bucket is None:
             self._buckets[time] = [row]
@@ -185,18 +201,18 @@ class TableEngine(ArrayEngine):
         else:
             bucket.append(row)
 
-    def run(self, until=None, max_events=None) -> int:
-        """Unbounded hot loop with opcode dispatch inlined.
+    def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
+        """Run until the queue drains (or ``until`` / ``max_events`` is hit).
 
-        Same contract as :meth:`ArrayEngine.run`; bounded runs
-        (``max_events``) delegate to the parent so mid-batch truncation
-        keeps its exact row-by-row semantics.  The unbounded loop folds
-        :meth:`_dispatch_row` into the bucket walk — one jump-table call
-        per opcode row with no intermediate method dispatch, which is
-        where a compiled run spends its remaining per-event time.
+        Same contract as :meth:`repro.sim.engine.Engine.run` — including
+        mid-batch ``max_events`` truncation with in-order resume and
+        non-re-entrancy — extended to opcode rows, each of which counts as
+        one event.  Under a ``max_events`` bound rows are dispatched one at
+        a time through :meth:`_dispatch_row`; the unbounded hot loop folds
+        the dispatch into the bucket walk — one jump-table call per row
+        with no intermediate method dispatch, which is where a compiled
+        run spends its remaining per-event time.
         """
-        if max_events is not None:
-            return ArrayEngine.run(self, until=until, max_events=max_events)
         if self._running:
             raise SimulationError(
                 "Engine.run() is not re-entrant: it was called from inside "
@@ -210,12 +226,11 @@ class TableEngine(ArrayEngine):
         buckets = self._buckets
         heappop = heapq.heappop
         heappush = heapq.heappush
-        row_kind = self._row_kind
+        row_op = self._row_op
         row_cycles = self._row_cycles
-        row_callback = self._row_callback
+        row_arg = self._row_arg
         free = self._free_rows
         handlers = self._handlers
-        base = K_OP_BASE
         try:
             while times:
                 time = times[0]
@@ -228,58 +243,59 @@ class TableEngine(ArrayEngine):
                 self._active = bucket
                 index = 0
                 try:
-                    while True:
-                        try:
-                            entry = bucket[index]
-                        except IndexError:
-                            break
-                        index += 1
-                        processed += 1
-                        if type(entry) is int:
-                            kind = row_kind[entry]
-                            cycles = row_cycles[entry]
-                            if kind >= base:
-                                if cycles < 0:
-                                    arg = row_callback[entry]
-                                    row_callback[entry] = None
-                                    free.append(entry)
-                                    handlers[kind - base](arg)
-                                    continue
-                                # pending deferral: re-queue this same row
-                                row_cycles[entry] = _CONSUMED
-                                if cycles == 0:
-                                    bucket.append(entry)
-                                    continue
-                                target = time + cycles
-                                nxt = buckets.get(target)
-                                if nxt is None:
-                                    buckets[target] = [entry]
-                                    heappush(times, target)
-                                else:
-                                    nxt.append(entry)
+                    if max_events is None:
+                        # hot loop: the batch may grow while it drains, so
+                        # iterate by index until it runs off the end.
+                        while True:
+                            try:
+                                entry = bucket[index]
+                            except IndexError:
+                                break
+                            index += 1
+                            processed += 1
+                            if type(entry) is not int:
+                                entry()
                                 continue
-                            callback = row_callback[entry]
-                            row_callback[entry] = None
-                            free.append(entry)
+                            cycles = row_cycles[entry]
+                            if cycles < 0:
+                                arg = row_arg[entry]
+                                row_arg[entry] = None
+                                free.append(entry)
+                                handlers[row_op[entry]](arg)
+                                continue
+                            # pending deferral: re-queue this same row
+                            row_cycles[entry] = _CONSUMED
                             if cycles == 0:
-                                bucket.append(callback)
+                                bucket.append(entry)
                                 continue
                             target = time + cycles
                             nxt = buckets.get(target)
                             if nxt is None:
-                                buckets[target] = [callback]
+                                buckets[target] = [entry]
                                 heappush(times, target)
                             else:
-                                nxt.append(callback)
-                        else:
-                            entry()
+                                nxt.append(entry)
+                    else:
+                        while index < len(bucket):
+                            entry = bucket[index]
+                            index += 1
+                            if type(entry) is int:
+                                self._dispatch_row(entry)
+                            else:
+                                entry()
+                            processed += 1
+                            if processed >= max_events:
+                                break
                 finally:
                     self._active = None
                     if index < len(bucket):
-                        # a callback raised: requeue the unprocessed tail so
-                        # a later run() resumes in order.
+                        # truncated mid-batch (max_events, or an event
+                        # raised): requeue the unprocessed tail — callables
+                        # and rows alike — so a later run() resumes in order.
                         buckets[time] = bucket[index:]
                         heappush(times, time)
+                if max_events is not None and processed >= max_events:
+                    break
             if until is not None and not times and self._now < until:
                 self._now = until
         finally:
@@ -287,66 +303,3 @@ class TableEngine(ArrayEngine):
             self._active = None
             self._events_processed += processed
         return self._now
-
-    def _dispatch_run(self, rows: List[int]) -> None:
-        """Batch-dispatch a same-cycle run mixing callback and opcode rows.
-
-        Target times are computed in bulk exactly as in the array kernel
-        (consumed opcode rows land below ``now`` via their marker and run
-        their handler); insertions and handler calls happen in row order,
-        identical to dispatching the rows one by one.
-        """
-        now = self._now
-        row_cycles = self._row_cycles
-        if len(rows) >= BATCH_MIN:
-            target_list = (
-                now
-                + np.fromiter(
-                    (row_cycles[r] for r in rows), dtype=np.int64, count=len(rows)
-                )
-            ).tolist()
-        else:
-            target_list = [now + row_cycles[r] for r in rows]
-        row_kind = self._row_kind
-        row_callback = self._row_callback
-        free = self._free_rows
-        buckets = self._buckets
-        times = self._times
-        handlers = self._handlers
-        base = K_OP_BASE
-        for row, time in zip(rows, target_list):
-            kind = row_kind[row]
-            if kind >= base:
-                if time < now:  # consumed marker: run the handler
-                    arg = row_callback[row]
-                    row_callback[row] = None
-                    free.append(row)
-                    handlers[kind - base](arg)
-                    continue
-                row_cycles[row] = _CONSUMED
-                if time == now:
-                    active = self._active
-                    if active is not None:
-                        active.append(row)
-                        continue
-                bucket = buckets.get(time)
-                if bucket is None:
-                    buckets[time] = [row]
-                    heapq.heappush(times, time)
-                else:
-                    bucket.append(row)
-                continue
-            callback = row_callback[row]
-            row_callback[row] = None
-            free.append(row)
-            if time == now:
-                active = self._active
-                if active is not None:
-                    active.append(callback)
-                    continue
-            bucket = buckets.get(time)
-            if bucket is None:
-                buckets[time] = [callback]
-                heapq.heappush(times, time)
-            else:
-                bucket.append(callback)

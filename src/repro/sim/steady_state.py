@@ -59,6 +59,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..arch.config import ArchConfig
 from .system import DEFAULT_ENGINE, SimulationResult, SystemSimulator
+from .system_table import TableProgram
 from .workload import (
     ENDPOINT_HBM,
     ENDPOINT_STAGE,
@@ -181,8 +182,8 @@ class _ProbeSimulator(SystemSimulator):
         super().job_finished(stage_id, job_index)
         if stage_id == self._final_stage_id:
             # snapshot_activity is engine-aware: the table engine serves
-            # clusters/links from its dense mid-run lanes, the other two
-            # from the tracer — identical values either way.
+            # clusters/links from its dense mid-run lanes, the object
+            # kernel from the tracer — identical values either way.
             counters, clusters, stages, links = self.snapshot_activity()
             self.counter_snaps.append(counters)
             self.cluster_snaps.append(clusters)
@@ -536,102 +537,82 @@ def _global_fast_forward(
 # verified event-for-event against the probe before it is trusted.
 
 
-class _ReplicaProbeSimulator(SystemSimulator):
-    """A contention-free probe that records per-family event end cycles.
+class _RecordingProgram(TableProgram):
+    """A table program that records per-family event end cycles.
 
-    The tracer's record methods are shadowed with instance closures that
-    perform the original state update inline and additionally append the
-    event's end cycle to a per-``(cluster, category, cycles)`` substream.
-    Grouping by the recorded cycle count separates event families with
-    different causes (e.g. a DMA burst vs. a delivery attribution) without
-    touching the engines: families with equal signatures merge, which the
-    certifier handles by dominant-rate analysis.
+    Each handler override appends the event's end cycle to a
+    per-``(cluster, category, cycles)`` substream, then delegates to the
+    compiled handler.  Recording comes first because a handler may recurse
+    synchronously into another recorded one (``_after_compute`` → job
+    done → next job start → ``_run_digital`` → ``_after_compute`` when a
+    stage has no digital work), and each substream must stay in event
+    order.  Grouping by the recorded cycle count separates event families
+    with different causes (e.g. a DMA burst vs. a delivery attribution):
+    families with equal signatures merge, which the certifier handles by
+    dominant-rate analysis.  The handlers are registered as bound methods
+    in :meth:`TableProgram.build`, so the overrides are picked up without
+    a hook and a plain table run executes none of this.
     """
 
-    def __init__(self, arch, workload, buffer_depth, engine):
-        super().__init__(
-            arch,
-            workload,
-            model_contention=False,
-            buffer_depth=buffer_depth,
-            engine=engine,
-        )
+    def __init__(self, sim: SystemSimulator) -> None:
+        super().__init__(sim)
         #: (cluster_id, category, cycles) -> end cycles, in record order.
         self.substreams: Dict[Tuple[int, str, int], List[int]] = {}
-        #: stage_id -> per-job compute-end cycles (record_stage_job order).
+        #: stage_id -> per-job compute-end cycles, in completion order.
         self.stage_ends: Dict[int, List[int]] = {}
-        tracer = self.tracer
-        substreams = self.substreams
-        stage_ends = self.stage_ends
-        clusters = tracer.clusters
 
-        def record_communication(cluster_id, cycles, end_cycle):
-            activity = clusters.get(cluster_id)
-            if activity is None:
-                activity = tracer.cluster(cluster_id)
-            activity.communication += cycles
-            if end_cycle > activity.last_busy_cycle:
-                activity.last_busy_cycle = end_cycle
-            if end_cycle > tracer.makespan:
-                tracer.makespan = end_cycle
-            key = (cluster_id, "communication", cycles)
-            stream = substreams.get(key)
-            if stream is None:
-                stream = substreams[key] = []
-            stream.append(end_cycle)
+    def _record(self, cluster: int, category: str, cycles: int, end: int) -> None:
+        key = (cluster, category, cycles)
+        stream = self.substreams.get(key)
+        if stream is None:
+            stream = self.substreams[key] = []
+        stream.append(end)
 
-        def record_analog_job(cluster_id, cycles, end_cycle):
-            activity = clusters.get(cluster_id)
-            if activity is None:
-                activity = tracer.cluster(cluster_id)
-            activity.analog += cycles
-            activity.jobs += 1
-            if end_cycle > activity.last_busy_cycle:
-                activity.last_busy_cycle = end_cycle
-            if end_cycle > tracer.makespan:
-                tracer.makespan = end_cycle
-            key = (cluster_id, "analog", cycles)
-            stream = substreams.get(key)
-            if stream is None:
-                stream = substreams[key] = []
-            stream.append(end_cycle)
+    def _op_analog_done(self, arg: int) -> None:
+        st = self.stages[arg // self._nj]
+        now = self.engine._now
+        for cluster in st.replicas[(arg % self._nj) % st.repl]:
+            self._record(cluster, "analog", st.analog_d, now)
+        super()._op_analog_done(arg)
 
-        orig_record_cluster = tracer.record_cluster
+    def _op_digital_done(self, arg: int) -> None:
+        st = self.stages[arg // self._nj]
+        now = self.engine._now
+        for cluster in st.digital_groups[(arg % self._nj) % st.dslots]:
+            self._record(cluster, "digital", st.digital_d, now)
+        super()._op_digital_done(arg)
 
-        def record_cluster(cluster_id, category, cycles, end_cycle):
-            orig_record_cluster(cluster_id, category, cycles, end_cycle)
-            key = (cluster_id, category, int(cycles))
-            stream = substreams.get(key)
-            if stream is None:
-                stream = substreams[key] = []
-            stream.append(int(end_cycle))
+    def _op_chunk_landed(self, arg: int) -> None:
+        group = self.groups[arg // self._nj]
+        if group.dst is not None:
+            self._record(group.dst, "communication", group.comm_cycles, self.engine._now)
+        super()._op_chunk_landed(arg)
 
-        orig_record_stage_job = tracer.record_stage_job
+    def _record_comm(self, cluster: int, cycles: int, end: int) -> None:
+        self._record(cluster, "communication", cycles, end)
+        super()._record_comm(cluster, cycles, end)
 
-        def record_stage_job(stage_id, start, end, analog_cycles, digital_cycles):
-            orig_record_stage_job(stage_id, start, end, analog_cycles, digital_cycles)
-            ends = stage_ends.get(stage_id)
-            if ends is None:
-                ends = stage_ends[stage_id] = []
-            ends.append(int(end))
+    def _after_compute(self, st, job: int, digital_cycles: int) -> None:
+        ends = self.stage_ends.get(st.sid)
+        if ends is None:
+            ends = self.stage_ends[st.sid] = []
+        ends.append(self.engine._now)
+        super()._after_compute(st, job, digital_cycles)
 
-        tracer.record_communication = record_communication  # type: ignore[method-assign]
-        tracer.record_analog_job = record_analog_job  # type: ignore[method-assign]
-        tracer.record_cluster = record_cluster  # type: ignore[method-assign]
-        tracer.record_stage_job = record_stage_job  # type: ignore[method-assign]
 
-    def run(self) -> SimulationResult:
-        result = super().run()
-        # the tracer leaves with the extrapolated result, and local
-        # closures cannot be pickled: unshadow the class methods
-        for name in (
-            "record_communication",
-            "record_analog_job",
-            "record_cluster",
-            "record_stage_job",
-        ):
-            del vars(self.tracer)[name]
-        return result
+def _run_replica_probe(
+    arch: ArchConfig, workload: Workload, buffer_depth: int
+) -> Tuple[_RecordingProgram, SimulationResult]:
+    """Run ``workload`` contention-free on a recording table program."""
+    simulator = SystemSimulator(
+        arch,
+        workload,
+        model_contention=False,
+        buffer_depth=buffer_depth,
+        engine="table",
+    )
+    probe = simulator._table = _RecordingProgram(simulator)
+    return probe, simulator.run()
 
 
 @dataclass
@@ -703,9 +684,8 @@ class _EventLedger:
     any mismatch refuses the fast-forward.
     """
 
-    def __init__(self, arch: ArchConfig, workload: Workload, array_mode: bool):
+    def __init__(self, arch: ArchConfig, workload: Workload):
         self.workload = workload
-        self.array_mode = array_mode
         self.topology = arch.topology()
         spec = arch.cluster
         self._bw = spec.dma_bandwidth_bytes_per_cycle
@@ -869,12 +849,11 @@ class _EventLedger:
         links: Dict[str, int],
         dst_dominator: Optional[Tuple] = None,
     ) -> None:
-        """Mirror of ``send_chunked`` / ``_send_chunked_array`` emission.
+        """Mirror of the table lane's chunk fan-out record emission.
 
-        The array kernel fuses all same-size chunks of one burst into a
-        single source-side communication record of ``duration * count``
-        cycles; the object kernel records each chunk separately.  The
-        destination side and the traffic counters are per-chunk on both.
+        All same-size chunks of one burst share a single source-side
+        communication record of ``duration * count`` cycles; the
+        destination side and the traffic counters are per chunk.
         """
         if n_bytes <= 0 or n_chunks <= 1:
             self._send(
@@ -890,12 +869,7 @@ class _EventLedger:
             return
         for size, count in self._chunk_groups(n_bytes, n_chunks):
             if src is not None:
-                if self.array_mode:
-                    self._event(
-                        src, "communication", self._dma(size) * count, src_key, 1
-                    )
-                else:
-                    self._event(src, "communication", self._dma(size), src_key, count)
+                self._event(src, "communication", self._dma(size) * count, src_key, 1)
                 self.dma_pacers.setdefault(src, set()).add(src_key[0])
             for __ in range(count):
                 self._transfer(src, dst, size, counters, links)
@@ -1214,7 +1188,7 @@ def _extend_trace(values: List[int], window: int, period: int, n: int) -> List[i
 
 
 def _verify_probe_state(
-    probe: _ReplicaProbeSimulator,
+    probe: _RecordingProgram,
     ledger: _EventLedger,
     workload: Workload,
     b: int,
@@ -1372,7 +1346,7 @@ def _free_run_guard(
 
 
 def _certify_substreams(
-    probe: _ReplicaProbeSimulator,
+    probe: _RecordingProgram,
     ledger: _EventLedger,
     certs: Dict[int, Tuple[int, int]],
     traces_ext: Dict[int, List[int]],
@@ -1613,7 +1587,7 @@ def _certify_substreams(
 
 
 def _apply_extension(
-    probe: _ReplicaProbeSimulator,
+    probe: _RecordingProgram,
     result: SimulationResult,
     workload: Workload,
     ledger: _EventLedger,
@@ -1683,7 +1657,6 @@ def _replica_fast_forward(
     arch: ArchConfig,
     workload: Workload,
     buffer_depth: int,
-    engine: str,
     attempts: List[str],
     q_max: int,
 ) -> Union[SimulationResult, "FastForwardRefusal"]:
@@ -1698,16 +1671,13 @@ def _replica_fast_forward(
     nothing.
     """
     n = workload.n_jobs
-    # The probe always runs on the array engine, whatever engine the caller
-    # asked for: the three engines are bit-identical (the equivalence suite
-    # enforces it), the table engine's batched dispatch does not expose the
-    # per-record tracer interception the probe needs, and the object
-    # engine's per-chunk communication records collapse distinct flows into
-    # one indistinguishable event family (every chunk of every relay read
-    # costs the same), while the array engine's fused burst records carry
-    # exactly the per-flow granularity that family certification needs.
-    probe_engine = "array"
-    array_mode = True
+    # The probe always runs on the table lane, whatever engine the caller
+    # asked for: the engines are bit-identical (the equivalence suite
+    # enforces it), the table lane is the fastest, and its fused per-group
+    # source-side burst records carry exactly the per-flow granularity
+    # that family certification needs (the object kernel records every
+    # chunk separately, collapsing distinct flows into one
+    # indistinguishable event family).
     b = max(PROBE_TARGET, 2 * q_max + MIN_WINDOWS + 1)
 
     def refuse(reason: str, detail: str) -> FastForwardRefusal:
@@ -1721,17 +1691,9 @@ def _replica_fast_forward(
                 f"certifying replica windows up to {q_max} needs a {b}-job "
                 f"probe, more than half of the {n}-job run",
             )
-        attempts.append(f"replica probe b={b} engine={probe_engine}")
-        logger.info(
-            "fast-forward: replica probe b=%d engine=%s (q_max=%d)",
-            b,
-            probe_engine,
-            q_max,
-        )
-        probe = _ReplicaProbeSimulator(
-            arch, workload.with_n_jobs(b), buffer_depth, probe_engine
-        )
-        result = probe.run()
+        attempts.append(f"replica probe b={b} engine=table")
+        logger.info("fast-forward: replica probe b=%d (q_max=%d)", b, q_max)
+        probe, result = _run_replica_probe(arch, workload.with_n_jobs(b), buffer_depth)
         if not result.completed:
             return refuse(REFUSAL_NON_PERIODIC, "probe run did not complete")
         certs, escalate_w, detail = _certify_stages(
@@ -1768,7 +1730,7 @@ def _replica_fast_forward(
                     f"run ({detail})",
                 )
             return refuse(REFUSAL_NON_PERIODIC, detail)
-        ledger = _EventLedger(arch, workload, array_mode)
+        ledger = _EventLedger(arch, workload)
         mismatch = _verify_probe_state(probe, ledger, workload, b)
         if mismatch is not None:
             return refuse(REFUSAL_NON_PERIODIC, f"ledger mismatch: {mismatch}")
@@ -1912,4 +1874,4 @@ def fast_forward_simulate(
             "no globally periodic window certified under contention",
             tuple(attempts),
         )
-    return _replica_fast_forward(arch, workload, buffer_depth, engine, attempts, q_max)
+    return _replica_fast_forward(arch, workload, buffer_depth, attempts, q_max)

@@ -18,33 +18,35 @@ once, before the first event, into integer transition state consumed by
   cycles, channel queues) updated by indexed arithmetic inside the
   opcode handlers.
 
-The **legality rule** for compiling a lifecycle step is the same one the
-array kernel applies to resources, extended to control flow: a step may
-be table-compiled only when its *successor and timing are fully
-determined at schedule time* from integer state (server finishes, credit
-grants and their FIFO cascades, chunk fan-outs, HBM round-robin picks —
-all deterministic given event order).  Steps whose continuation is an
+The **legality rule** for compiling a step: a resource or lifecycle step
+may be table-compiled only when its *successor and timing are fully
+determined at schedule time* from integer state.  A capacity-1 FIFO link
+whose job durations are fixed at submission is exactly a busy-until
+scalar (a transfer drains at ``max(now, busy_until) + serialization``),
+and a multi-channel DMA engine is a heap of per-channel free-at cycles
+(a burst starts on the earliest-free channel); server finishes, credit
+grants and their FIFO cascades, chunk fan-outs and HBM round-robin picks
+are all deterministic given event order.  Steps whose continuation is an
 arbitrary closure stay callbacks and ride the engine's callback lane
-unchanged: external HBM feeds (their fetch → grant → deliver recursion
-is re-entrant through the credit queue, so the credit waiter queues hold
-*either* packed ints or callables), and anything a bounded
-``max_events`` run truncates mid-batch (rows keep their identity when
-re-queued, so resume order is exact).
+unchanged: the external HBM feeds (their fetch → grant → deliver
+recursion is re-entrant through the credit queue, so the credit waiter
+queues hold *either* packed ints or callables).  Rows keep their
+identity when a bounded ``max_events`` run requeues them, so resume
+order is exact.
 
 Equivalence contract: every event this program schedules lands at the
-same simulated time, in the same bucket insertion position, as the array
-kernel's equivalent event — the compiled handlers replicate the object
-kernel's synchronous callback chains (server ``on_done``-then-dequeue
-order, credit FIFO grants, barrier arrivals, the ``written``-then-relay
-order of storage flows) statement for statement.  Tracer state that the
+same simulated time, in the same bucket insertion position, as the
+object kernel's equivalent event — the compiled handlers replicate its
+synchronous callback chains (server ``on_done``-then-dequeue order,
+credit FIFO grants, barrier arrivals, the ``written``-then-relay order
+of storage flows) statement for statement.  Tracer state that the
 fast-forward prober must see mid-run (aggregate counters, live
 :class:`~repro.sim.tracer.StageActivity`, stage completions) stays on
 the tracer; per-cluster and per-link activity accumulate in dense arrays
 and materialise into the tracer in first-touch order at
 :meth:`finalize` (``SystemSimulator.snapshot_activity`` reads the dense
-form mid-run).  Bit-identity against both kernels is asserted by
-``tests/test_sim_kernel_equivalence.py`` and the three-way matrix in
-``tests/test_sim_engine_table.py``.
+form mid-run).  Bit-identity against the object kernel is asserted by
+``tests/test_sim_kernel_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -55,18 +57,19 @@ from collections import deque
 from typing import Dict, List, Optional, Tuple
 
 from .engine import SimulationError
-from .engine_table import K_OP_BASE, TableEngine
+from .engine_table import TableEngine
 from .tracer import ClusterActivity
 from .workload import ENDPOINT_HBM, ENDPOINT_STAGE, ENDPOINT_STORAGE
 
-#: opcode kinds (jump-table index = kind - K_OP_BASE, in this order).
-OP_ANALOG_DONE = K_OP_BASE + 0  # arg: stage_slot * n_jobs + job
-OP_DIGITAL_DONE = K_OP_BASE + 1  # arg: stage_slot * n_jobs + job
-OP_NOC_START = K_OP_BASE + 2  # arg: group_id * n_jobs + job (DMA done)
-OP_CHUNK_LANDED = K_OP_BASE + 3  # arg: group_id * n_jobs + job
-OP_FLOW_NULL = K_OP_BASE + 4  # arg: flow_id * n_jobs + job (zero-byte send)
-OP_HBM_ARRIVE = K_OP_BASE + 5  # arg: [pending, hop, target] barrier cell
-OP_CHAN_DONE = K_OP_BASE + 6  # arg: (channel, barrier cell)
+#: opcodes (jump-table indices, in the order :meth:`TableProgram.build`
+#: registers the handlers).
+OP_ANALOG_DONE = 0  # arg: stage_slot * n_jobs + job
+OP_DIGITAL_DONE = 1  # arg: stage_slot * n_jobs + job
+OP_NOC_START = 2  # arg: group_id * n_jobs + job (DMA done)
+OP_CHUNK_LANDED = 3  # arg: group_id * n_jobs + job
+OP_FLOW_NULL = 4  # arg: flow_id * n_jobs + job (zero-byte send)
+OP_HBM_ARRIVE = 5  # arg: [pending, hop, target] barrier cell
+OP_CHAN_DONE = 6  # arg: (channel, barrier cell)
 
 #: flow kinds.
 F_DIRECT = 0  # producer stage -> consumer stage (credit-gated)
@@ -264,7 +267,7 @@ class TableProgram:
         self._chan_queue: List[deque] = [deque() for __ in range(n_chan)]
         self._chan_busy_cycles = [0] * n_chan
         self._hbm_next = 0
-        # per-cluster DMA slot vectors (same shape as the array kernel's)
+        # per-cluster DMA channel free-at heaps
         self._dma_slots: Dict[int, List[int]] = {}
 
     # ------------------------------------------------------------------ #
@@ -1057,7 +1060,7 @@ class TableProgram:
                     self._try_start(st)
                     fetch(job + 1)
 
-                self._transfer_cb(None, dst, n_bytes, delivered)
+                self._fetch_cb(dst, n_bytes, delivered)
 
             def acquire() -> None:
                 if in_credits[flow_index] > 0 and not in_wait:
@@ -1075,38 +1078,35 @@ class TableProgram:
 
         fetch(0)
 
-    def _transfer_cb(self, src, dst, n_bytes: int, on_done) -> None:
-        """Callback-continuation transfer over the dense link/channel state.
+    def _fetch_cb(self, dst: int, n_bytes: int, on_done) -> None:
+        """Callback-continuation HBM fetch over the dense link/channel state.
 
         Same timing and tracer updates as the compiled path, but the
         completion is an arbitrary callable, delivered through the
-        engine's callback rows (and the HBM barrier cell's callable
-        target).
+        engine's callback lane (and the HBM barrier cell's callable
+        target).  Only the external feeds use it, and they always read
+        from the HBM.
         """
         engine = self.engine
         tracer = self.tracer
-        if n_bytes == 0 or src == dst:
-            if src is None and dst is None:
-                raise ValueError("a transfer needs at least one on-chip endpoint")
+        if dst is None:
+            raise ValueError("a transfer needs at least one on-chip endpoint")
+        if n_bytes == 0:
             tracer.n_transfers += 1
-            tracer.local_bytes += n_bytes
             engine.after(0, on_done)
             return
-        plan = self._plan(src, dst)
+        plan = self._plan(None, dst)
         memo = plan.cycles_memo.get(n_bytes)
         if memo is None:
             serialization = -(-n_bytes // plan.min_width)
-            hbm_extra = 0
-            if plan.involves_hbm:
-                hbm_extra = self.arch.hbm.service_cycles(n_bytes) - serialization
+            hbm_extra = self.arch.hbm.service_cycles(n_bytes) - serialization
             plan.cycles_memo[n_bytes] = (serialization, hbm_extra)
         else:
             serialization, hbm_extra = memo
         tracer.n_transfers += 1
         tracer.noc_bytes += n_bytes
         tracer.noc_byte_hops += n_bytes * plan.n_hops
-        if plan.involves_hbm:
-            tracer.hbm_bytes += n_bytes
+        tracer.hbm_bytes += n_bytes
         if not plan.touched:
             self._touch_plan(plan)
         link_busy = self._link_busy
@@ -1126,9 +1126,6 @@ class TableProgram:
             busy_until[lid] = end
             if end > drain:
                 drain = end
-        if plan.involves_hbm:
-            pend = [2, plan.hop, on_done]
-            engine.sched_op(drain, OP_HBM_ARRIVE, pend)
-            self._chan_submit(serialization + hbm_extra, pend)
-        else:
-            engine.defer_at(drain, plan.hop, on_done)
+        pend = [2, plan.hop, on_done]
+        engine.sched_op(drain, OP_HBM_ARRIVE, pend)
+        self._chan_submit(serialization + hbm_extra, pend)

@@ -104,7 +104,7 @@ class TestComparison:
         new = {
             "micro_mvm.reference_s": 1.0,
             "sim_engine_table.table_s": 0.1,
-            "sim_engine_table.table_speedup": 1.8,  # non-timing: ignored
+            "sim_engine_table.total_speedup": 1.8,  # non-timing: ignored
         }
         assert missing_baselines(old, new) == ["sim_engine_table"]
         assert missing_baselines(new, new) == []
@@ -238,9 +238,11 @@ class TestCLI:
         assert not (tmp_path / "BENCH_PR1.json").exists()
         assert "wrote" in capsys.readouterr().out
 
-    def test_check_mode_writes_nothing(self, tmp_path):
-        assert main(self._argv(tmp_path, "--check")) == 0
+    def test_check_mode_writes_nothing(self, tmp_path, capsys):
+        # an empty root holds no baseline: the gate fails, and writes nothing
+        assert main(self._argv(tmp_path, "--check")) == 1
         assert list(tmp_path.glob("BENCH_*.json")) == []
+        assert "no comparable baseline" in capsys.readouterr().out
 
     def test_check_fails_on_regression(self, tmp_path):
         # previous point claims near-zero timings: anything real regresses
@@ -260,14 +262,28 @@ class TestCLI:
         assert main(self._argv(tmp_path, "--check")) == 0
 
     def test_check_skips_comparison_across_configs(self, tmp_path, capsys):
-        # a full-size trajectory point must not gate a quick smoke run
+        # a full-size trajectory point must not gate a quick smoke run...
         write_results(
             tmp_path / "BENCH_PR1.json",
             {"micro_mvm.reference_s": 1e-12, "micro_mvm.vectorized_s": 1e-12},
             BenchConfig(),
         )
-        assert main(self._argv(tmp_path, "--check")) == 0
+        assert main(self._argv(tmp_path)) == 0
         assert "skipping regression comparison" in capsys.readouterr().out
+
+    def test_check_fails_without_a_comparable_baseline(self, tmp_path, capsys):
+        # ...and a gate left with only a mismatched-config baseline has
+        # compared nothing, so --check must fail instead of passing green
+        write_results(
+            tmp_path / "BENCH_PR1.json",
+            {"micro_mvm.reference_s": 1e9, "micro_mvm.vectorized_s": 1e9},
+            BenchConfig(),
+        )
+        assert main(self._argv(tmp_path, "--check")) == 1
+        printed = capsys.readouterr().out
+        assert "skipping regression comparison" in printed
+        assert "no comparable baseline" in printed
+        assert list(tmp_path.glob("BENCH_*.json")) == [tmp_path / "BENCH_PR1.json"]
 
     def test_check_skips_scenarios_missing_from_baseline(self, tmp_path, capsys):
         # the baseline predates the micro_mvm scenario entirely: the gate

@@ -65,6 +65,9 @@ class TestScenarioSpec:
             Scenario(n_clusters=-1)
         with pytest.raises(SpecError):
             Scenario(buffer_depth=0)
+        # the retired array-native kernel is no longer a valid engine
+        with pytest.raises(SpecError, match=r"'array'.*'python', 'table'"):
+            Scenario(engine="array")
 
     def test_label_and_replace(self):
         assert TINY.label == "tiny_cnn/final/x256/c16/b4"

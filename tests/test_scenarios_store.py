@@ -343,37 +343,6 @@ class TestWarmFromDisk:
         assert warm.simulation == cold.simulation
         assert warm.mapping == cold.mapping
 
-    def test_array_entries_keep_serving_and_default_rebuilds_once(
-        self, store, monkeypatch
-    ):
-        """A store filled while the array kernel was the default engine.
-
-        ``engine`` is part of the simulation key: the explicit-array
-        scenario keeps hitting its entry, while the same scenario at the
-        default (table) engine misses exactly once, rebuilds under its own
-        key, and is then served warm like any other entry.
-        """
-        calls = counting_simulate(monkeypatch)
-        pinned = TINY.replace(engine="array")
-        cold = run_scenario(pinned, ArtifactCache(store=store))
-        assert len(calls) == 1
-        served_cache = ArtifactCache(store=store)
-        served = run_scenario(pinned, served_cache)
-        assert len(calls) == 1  # the array entry still serves
-        assert served_cache.stats.disk_hit_count("simulation") == 1
-        assert served.simulation == cold.simulation
-        rebuild_cache = ArtifactCache(store=store)
-        rebuilt = run_scenario(TINY, rebuild_cache)
-        assert len(calls) == 2  # the default engine rebuilds once...
-        assert rebuild_cache.stats.miss_count("simulation") == 1
-        warm_cache = ArtifactCache(store=store)
-        warm = run_scenario(TINY, warm_cache)
-        assert len(calls) == 2  # ...and is served warm afterwards
-        assert warm_cache.stats.disk_hit_count("simulation") == 1
-        assert warm.simulation == rebuilt.simulation
-        assert rebuilt.metrics == cold.metrics
-        assert rebuilt.simulation == cold.simulation
-
     def test_disk_served_results_match_fresh_builds_exactly(self, store):
         outcomes = {}
         for label in ("cold", "warm"):

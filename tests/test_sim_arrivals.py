@@ -220,7 +220,7 @@ class TestFastForwardRefusal:
         assert isinstance(refusal, FastForwardRefusal)
         assert refusal.reason == REFUSAL_OPEN_WORKLOAD
 
-    @pytest.mark.parametrize("engine", ["python", "array", "table"])
+    @pytest.mark.parametrize("engine", ["python", "table"])
     def test_simulate_takes_verified_fallback(self, engine):
         open_workload = _chain(n_jobs=96, replication=2).with_arrivals(
             PoissonArrivals(400.0, seed=2).generate(96)
@@ -277,13 +277,12 @@ class TestClosedBatchBackCompat:
 
     def test_closed_results_bit_identical_to_pre_serving_behaviour(self):
         """The launch-gating hooks are inert on closed workloads: a closed
-        run must stay bit-identical across all three engines (the gate adds
+        run must stay bit-identical across both engines (the gate adds
         zero events), and must record no request completions."""
         workload = _chain(n_jobs=48, replication=2)
         python = simulate(ARCH64, workload, engine="python")
-        for engine in ("array", "table"):
-            assert result_mismatches(python, simulate(ARCH64, workload,
-                                                      engine=engine)) == []
+        assert result_mismatches(python, simulate(ARCH64, workload,
+                                                  engine="table")) == []
         assert python.request_latencies() == ()
         assert python.tracer.request_completions == {}
 

@@ -1,66 +1,62 @@
-"""Bit-identity and unit coverage of the compiled table lane.
+"""Unit coverage of the compiled table lane's event kernel.
 
 The table kernel (``engine="table"``) compiles ``_StageRuntime``'s per-job
 lifecycle into integer transition tables (:mod:`repro.sim.system_table`)
 dispatched through :class:`~repro.sim.engine_table.TableEngine`'s opcode
-lane.  Its acceptance contract is the same as the array kernel's: *bit
-identical results* on every workload, contention mode and buffer depth —
-the existing two-way harness (``tests/test_sim_kernel_equivalence.py``)
-stays untouched and this module extends the same matrix to three kernels.
+lane.  End-to-end bit identity against the object kernel lives in
+``tests/test_sim_kernel_equivalence.py``; this file tests the kernel
+alone:
 
-Coverage layers:
-
-* ``TableEngine`` unit tests: opcode scheduling/deferral semantics, FIFO
-  interleaving with callables and callback rows, mid-batch ``max_events``
-  truncation with in-order resume, the exception-safe tail requeue, and
-  post-run :meth:`~repro.sim.engine_array.ArrayEngine.reset`;
-* the synthetic + zoo shapes shared with the fast-forward suite, table vs
-  both other kernels;
-* the seeded randomized property sweep (same generator and seeds as the
-  two-way harness), table vs the object kernel reference;
-* bounded runs: the steady-state fast-forward on top of the table kernel
-  (probing drives ``until``/``max_events`` through the callback-lane
-  fallback);
-* the ``engine`` cache-key axis with three distinct values.
+* opcode scheduling/deferral semantics and FIFO interleaving with
+  callables;
+* mid-batch ``max_events`` truncation with in-order resume, the
+  exception-safe tail requeue, ``until`` bounds and non-re-entrancy;
+* row storage: free-list recycling and post-run :meth:`TableEngine.reset`;
+* the object primitives (``Server``/``CreditStore``) running unchanged;
+* the ``engine`` axis: two registered engines, everything else — the
+  retired ``"array"`` included — rejected at every entry point.
 """
+
+import json
 
 import pytest
 
 from repro.scenarios.fingerprint import simulation_key
-from repro.sim import assert_results_identical, result_mismatches, simulate
+from repro.sim import CreditStore, Engine, Server, simulate
 from repro.sim.engine import SimulationError
-from repro.sim.engine_table import K_OP_BASE, TableEngine
-from repro.sim.system import SIMULATION_ENGINES
+from repro.sim.engine_table import TableEngine
+from repro.sim.steady_state import fast_forward_simulate
+from repro.sim.system import SIMULATION_ENGINES, SystemSimulator
 
-from test_sim_fast_forward import ARCH64, SYNTHETIC, ZOO, _chain, _zoo_workload
-from test_sim_kernel_equivalence import _random_workload
-import random
+from test_sim_fast_forward import ARCH64, _chain
+
+
+def _engine(log):
+    """A table engine whose opcode 0 appends its argument to ``log``."""
+    engine = TableEngine()
+    engine.set_handlers((lambda arg: log.append(arg),))
+    return engine
 
 
 # --------------------------------------------------------------------------- #
 # TableEngine: the opcode lane
 # --------------------------------------------------------------------------- #
 class TestTableEngine:
-    def _engine(self, log):
-        engine = TableEngine()
-        engine.set_handlers((lambda arg: log.append(arg),))
-        return engine
-
     def test_sched_op_dispatches_through_the_jump_table(self):
         log = []
-        engine = self._engine(log)
-        engine.sched_op(5, K_OP_BASE, "b")
-        engine.sched_op(2, K_OP_BASE, "a")
-        engine.sched_op(5, K_OP_BASE, "c")
+        engine = _engine(log)
+        engine.sched_op(5, 0, "b")
+        engine.sched_op(2, 0, "a")
+        engine.sched_op(5, 0, "c")
         assert engine.run() == 5
         assert log == ["a", "b", "c"]
         assert engine.events_processed == 3
 
     def test_op_rows_interleave_with_callables_in_fifo_order(self):
         log = []
-        engine = self._engine(log)
+        engine = _engine(log)
         engine.at(3, lambda: log.append("cb1"))
-        engine.sched_op(3, K_OP_BASE, "op")
+        engine.sched_op(3, 0, "op")
         engine.at(3, lambda: log.append("cb2"))
         engine.run()
         assert log == ["cb1", "op", "cb2"]
@@ -70,27 +66,88 @@ class TestTableEngine:
         # re-queues itself into bucket 5, landing *after* the callable
         # that was already scheduled there.
         log = []
-        engine = self._engine(log)
+        engine = _engine(log)
         engine.at(5, lambda: log.append("resident"))
-        engine.defer_op(2, 3, K_OP_BASE, "deferred")
+        engine.defer_op(2, 3, 0, "deferred")
         engine.run()
         assert log == ["resident", "deferred"]
         assert engine.events_processed == 3  # callable + row twice
 
+    def test_defer_op_equivalent_to_at_plus_after(self):
+        """defer_op(t, c, op) fires at t + c, like at(t, after(c, cb))."""
+        table = TableEngine()
+        obj = Engine()
+        seen_table, seen_obj = [], []
+        table.set_handlers((lambda arg: seen_table.append(table.now),))
+        table.defer_op(10, 7, 0, None)
+        obj.at(10, lambda: obj.after(7, lambda: seen_obj.append(obj.now)))
+        table.run()
+        obj.run()
+        assert seen_table == seen_obj == [17]
+
     def test_zero_cycle_deferral_appends_to_the_active_bucket_tail(self):
         log = []
-        engine = self._engine(log)
-        engine.defer_op(0, 0, K_OP_BASE, "deferred")
+        engine = _engine(log)
+        engine.defer_op(0, 0, 0, "deferred")
         engine.at(0, lambda: log.append("same-bucket"))
         engine.run()
         assert log == ["same-bucket", "deferred"]
 
+    def test_zero_heap_cascade_from_op_handler(self):
+        """A handler can chain after(0) continuations, all at one t."""
+        order = []
+        engine = TableEngine()
+
+        def chained(arg):
+            order.append("chained")
+            engine.after(0, lambda: order.append("chained-again"))
+
+        engine.set_handlers((chained,))
+        engine.defer_op(3, 0, 0, None)
+        engine.at(3, lambda: order.append("peer"))
+        engine.run()
+        # the zero-cycle row re-queues behind the already-queued peer, then
+        # its handler's continuation joins the tail of the same batch
+        assert order == ["peer", "chained", "chained-again"]
+        assert engine.now == 3
+
+    def test_scheduling_in_the_past_and_negative_deferrals_raise(self):
+        engine = _engine([])
+        engine.sched_op(3, 0, None)
+        engine.run()
+        with pytest.raises(SimulationError):
+            engine.sched_op(1, 0, None)
+        with pytest.raises(SimulationError):
+            engine.defer_op(1, 2, 0, None)
+        with pytest.raises(SimulationError):
+            engine.defer_op(5, -1, 0, None)
+
+    def test_deferred_row_counts_as_one_event_per_dispatch(self):
+        """A deferral is two dispatches of one row: at t, then at t + c."""
+        log = []
+        engine = _engine(log)
+        engine.defer_op(2, 5, 0, "row")
+        engine.run()
+        assert log == ["row"]
+        assert engine.events_processed == 2
+        assert engine.now == 7
+
+    def test_zero_cycle_deferral_lands_in_the_same_cycle(self):
+        seen = []
+        engine = TableEngine()
+        engine.set_handlers((lambda arg: seen.append(engine.now),))
+        engine.defer_op(4, 0, 0, None)
+        engine.at(9, lambda: None)
+        engine.run(until=4)
+        assert seen == [4]
+        assert engine.now == 4
+
     def test_max_events_truncates_between_op_rows_and_resumes_in_order(self):
         log = []
-        engine = self._engine(log)
+        engine = _engine(log)
         for tag in ("a", "b", "c"):
-            engine.sched_op(4, K_OP_BASE, tag)
-        engine.run(max_events=2)  # bounded: delegates to the array loop
+            engine.sched_op(4, 0, tag)
+        engine.run(max_events=2)  # bounded: row-by-row dispatch
         assert log == ["a", "b"]
         engine.run()  # the unbounded inlined loop resumes mid-bucket
         assert log == ["a", "b", "c"]
@@ -104,149 +161,211 @@ class TestTableEngine:
             raise RuntimeError(arg)
 
         engine.set_handlers((lambda arg: log.append(arg), boom))
-        engine.sched_op(1, K_OP_BASE + 1, "kaboom")
-        engine.sched_op(1, K_OP_BASE, "survivor")
+        engine.sched_op(1, 1, "kaboom")
+        engine.sched_op(1, 0, "survivor")
         with pytest.raises(RuntimeError, match="kaboom"):
             engine.run()
         engine.run()
         assert log == ["survivor"]
 
-    def test_scheduling_in_the_past_and_negative_deferrals_raise(self):
-        engine = self._engine([])
-        engine.sched_op(3, K_OP_BASE, None)
-        engine.run()
-        with pytest.raises(SimulationError):
-            engine.sched_op(1, K_OP_BASE, None)
-        with pytest.raises(SimulationError):
-            engine.defer_op(1, 2, K_OP_BASE, None)
-        with pytest.raises(SimulationError):
-            engine.defer_op(5, -1, K_OP_BASE, None)
-
-    def test_reset_compacts_both_lanes_and_engine_stays_usable(self):
-        log = []
-        engine = self._engine(log)
-        engine.sched_op(1, K_OP_BASE, "x")
-        engine.defer_at(1, 4, lambda: log.append("y"))
-        engine.run()
-        assert log == ["x", "y"]
-        engine.reset()
-        assert len(engine.pending_rows()) == 0
-        engine.sched_op(6, K_OP_BASE, "z")
-        engine.run()
-        assert log == ["x", "y", "z"]
-
     def test_reset_with_pending_events_raises(self):
-        engine = self._engine([])
-        engine.sched_op(9, K_OP_BASE, None)
-        with pytest.raises(SimulationError):
+        """A reset must never orphan a live row index sitting in a bucket."""
+        engine = _engine([])
+        engine.sched_op(9, 0, None)
+        with pytest.raises(SimulationError, match="pending"):
             engine.reset()
+        engine.run()
+        engine.reset()  # drained: now legal
 
 
 # --------------------------------------------------------------------------- #
-# Three-way bit identity on known shapes
+# Bounded and re-entrant runs
 # --------------------------------------------------------------------------- #
-class TestThreeWayKnownShapes:
-    @pytest.mark.parametrize(
-        "name,workload,_must_engage",
-        SYNTHETIC,
-        ids=[case[0] for case in SYNTHETIC],
-    )
-    @pytest.mark.parametrize("model_contention", [True, False], ids=["cont", "nocont"])
-    def test_synthetic_pipelines_identical(self, name, workload, _must_engage,
-                                           model_contention):
-        python = simulate(ARCH64, workload, model_contention, engine="python")
-        table = simulate(ARCH64, workload, model_contention, engine="table")
-        assert result_mismatches(python, table) == []
+class TestBoundedRuns:
+    def test_max_events_truncates_between_rows_and_resumes_in_order(self):
+        """Mirrors the object kernel's mid-batch truncation contract."""
+        log = []
+        engine = _engine(log)
+        engine.defer_op(7, 0, 0, "r1")
+        engine.defer_op(7, 0, 0, "r2")
+        engine.at(7, lambda: log.append("c1"))
+        engine.at(9, lambda: log.append("late"))
+        engine.run(max_events=2)
+        # two of the three t=7 entries dispatched; the rows re-queued
+        # themselves behind the unprocessed tail
+        assert engine.now == 7
+        assert not engine.empty()
+        engine.run()
+        assert log == ["c1", "r1", "r2", "late"]
+        assert engine.now == 9
 
-    @pytest.mark.parametrize(
-        "name,model,shape,level,batch,clusters,classes,crossbar,_must_engage",
-        ZOO,
-        ids=[case[0] for case in ZOO],
-    )
-    def test_zoo_mappings_identical(
-        self, name, model, shape, level, batch, clusters, classes, crossbar,
-        _must_engage,
-    ):
-        arch, workload = _zoo_workload(
-            model, shape, level, batch, clusters, classes, crossbar
-        )
-        array = simulate(arch, workload, engine="array")
-        table = simulate(arch, workload, engine="table")
-        assert_results_identical(array, table)
+    def test_max_events_counts_rows_as_events(self):
+        log = []
+        engine = _engine(log)
+        for i in range(4):
+            engine.defer_op(1, 10, 0, i)
+        engine.run(max_events=3)
+        assert engine.now == 1
+        assert log == []  # rows dispatched, handlers land at t=11
+        engine.run()
+        assert log == [0, 1, 2, 3]
 
-    def test_payloads_identical_including_stage_completions(self):
-        arch, workload = _zoo_workload("tiny_cnn", (3, 32, 32), "final", 16, 16, 10, 128)
-        python = simulate(arch, workload, engine="python")
-        table = simulate(arch, workload, engine="table")
-        assert result_mismatches(python, table) == []
-        python_payload = python.to_payload()
-        table_payload = table.to_payload()
-        assert type(python_payload.pop("tracer")) is type(table_payload.pop("tracer"))
-        assert python_payload == table_payload
+    def test_until_bound_matches_object_engine(self):
+        for engine in (TableEngine(), Engine()):
+            engine.at(100, lambda: None)
+            assert engine.run(until=50) == 50
+            assert engine.run(until=40) == 50  # stale bound: no rewind
+            engine.run()
+            assert engine.now == 100
 
+    def test_reentrant_run_raises(self):
+        engine = TableEngine()
+        errors = []
 
-# --------------------------------------------------------------------------- #
-# Seeded randomized property sweep (same seeds as the two-way harness)
-# --------------------------------------------------------------------------- #
-class TestThreeWayRandomized:
-    @pytest.mark.parametrize("seed", range(20))
-    def test_random_pipelines_identical(self, seed):
-        rng = random.Random(1000 + seed)
-        workload = _random_workload(rng)
-        model_contention = rng.random() < 0.7
-        buffer_depth = rng.choice([1, 2, 5])
-        python = simulate(
-            ARCH64, workload, model_contention, buffer_depth, engine="python"
-        )
-        table = simulate(
-            ARCH64, workload, model_contention, buffer_depth, engine="table"
-        )
-        mismatches = result_mismatches(python, table)
-        assert mismatches == [], f"seed {seed}: {mismatches}"
+        def reenter(arg):
+            try:
+                engine.run()
+            except SimulationError as error:
+                errors.append(str(error))
+
+        engine.set_handlers((reenter,))
+        engine.defer_op(1, 0, 0, None)
+        engine.run()
+        assert len(errors) == 1
+        assert "re-entrant" in errors[0]
+        engine.at(2, lambda: None)
+        assert engine.run() == 2
 
 
 # --------------------------------------------------------------------------- #
-# Bounded runs: fast-forward probing on top of the table kernel
+# Row storage
 # --------------------------------------------------------------------------- #
-class TestBoundedRunEquivalence:
-    @pytest.mark.parametrize(
-        "name,workload,must_engage",
-        SYNTHETIC,
-        ids=[case[0] for case in SYNTHETIC],
-    )
-    def test_fast_forward_on_table_kernel(self, name, workload, must_engage):
-        full = simulate(ARCH64, workload, engine="table")
-        ff = simulate(ARCH64, workload, fast_forward=True, engine="table")
-        if must_engage:
-            assert ff.fast_forwarded, f"{name}: fast-forward failed to engage"
-        assert result_mismatches(full, ff, ignore_provenance=True) == []
+class TestRowStorage:
+    def test_free_list_recycles_rows(self):
+        """Sequential rows reuse one storage slot — the table stays dense."""
+        engine = _engine([])
+        for start in range(0, 50, 2):
+            engine.defer_op(start, 1, 0, None)
+            engine.run()
+        assert len(engine._row_op) == 1
+        assert engine._free_rows == [0]
 
-    def test_fast_forward_identical_across_all_kernels(self):
-        workload = _chain(n_jobs=96, replication=2)
-        results = {
-            engine: simulate(ARCH64, workload, fast_forward=True, engine=engine)
-            for engine in SIMULATION_ENGINES
-        }
-        assert all(r.fast_forwarded for r in results.values())
-        assert result_mismatches(results["python"], results["table"]) == []
-        assert result_mismatches(results["array"], results["table"]) == []
+    def test_reset_releases_row_storage(self):
+        """Post-run compaction drops the peak-size columns and free list."""
+        log = []
+        engine = _engine(log)
+        for start in range(8):
+            engine.defer_op(start, 1, 0, start)
+        engine.run()
+        assert len(engine._row_op) > 0 and engine._free_rows
+        engine.reset()
+        assert engine._row_op == []
+        assert engine._row_cycles == []
+        assert engine._row_arg == []
+        assert engine._free_rows == []
+        # the engine stays usable after compaction
+        engine.defer_op(20, 2, 0, "after-reset")
+        engine.run()
+        assert log == list(range(8)) + ["after-reset"]
+
+    def test_reset_refuses_reentrant_call(self):
+        engine = TableEngine()
+        errors = []
+
+        def from_inside():
+            try:
+                engine.reset()
+            except SimulationError as error:
+                errors.append(str(error))
+
+        engine.at(1, from_inside)
+        engine.run()
+        assert errors and "inside run()" in errors[0]
+
+    def test_simulator_run_compacts_a_drained_engine(self):
+        """SystemSimulator.run() resets the row storage after the batch
+        loop drains, so long-lived workers do not retain peak-size columns
+        between scenarios."""
+        simulator = SystemSimulator(ARCH64, _chain(n_jobs=8), engine="table")
+        simulator.run()
+        assert simulator.engine._row_op == []
+        assert simulator.engine._free_rows == []
+
+
+class TestDropIn:
+    def test_object_primitives_run_unchanged(self):
+        """Server and CreditStore work on TableEngine exactly as on Engine."""
+        engine = TableEngine()
+        server = Server(engine, "s", capacity=1)
+        store = CreditStore(engine, "c", initial=1)
+        done = []
+        store.acquire(lambda: server.submit(10, lambda: done.append(engine.now)))
+        store.acquire(lambda: server.submit(10, lambda: done.append(engine.now)))
+        engine.at(5, store.release)
+        engine.run()
+        # second job is granted at t=5, queues behind the first (busy until
+        # t=10) and serves 10 cycles
+        assert done == [10, 20]
+        assert server.jobs_served == 2
+
+    def test_uses_slots(self):
+        assert not hasattr(TableEngine(), "__dict__")
 
 
 # --------------------------------------------------------------------------- #
-# The engine axis: three distinct, separately-keyed values
+# The engine axis: two distinct, separately-keyed values
 # --------------------------------------------------------------------------- #
 class TestEngineAxis:
     def test_table_is_a_registered_engine(self):
-        assert SIMULATION_ENGINES == ("array", "python", "table")
+        assert SIMULATION_ENGINES == ("python", "table")
 
-    def test_three_engines_key_separately(self):
+    def test_each_engine_keys_separately(self):
         keys = {
             simulation_key("a", "w", True, 2, engine=engine)
             for engine in SIMULATION_ENGINES
         }
-        assert len(keys) == 3
+        assert len(keys) == len(SIMULATION_ENGINES)
 
     def test_unknown_engine_rejected(self):
         workload = _chain(n_jobs=4)
-        with pytest.raises(ValueError, match="unknown simulation engine"):
-            simulate(ARCH64, workload, engine="compiled")
+        # "array" names the retired array-native kernel: bad input now
+        for engine in ("compiled", "array"):
+            match = rf"unknown simulation engine '{engine}'.*'python', 'table'"
+            with pytest.raises(ValueError, match=match):
+                simulate(ARCH64, workload, engine=engine)
+            with pytest.raises(ValueError, match=match):
+                SystemSimulator(ARCH64, workload, engine=engine)
+
+    def test_fast_forward_rejects_the_retired_engine(self):
+        with pytest.raises(ValueError, match=r"'array'.*'python', 'table'"):
+            fast_forward_simulate(ARCH64, _chain(n_jobs=64), engine="array")
+
+    def test_simulation_stage_rejects_the_retired_engine(self):
+        from repro.scenarios import simulation_stage
+
+        with pytest.raises(ValueError, match=r"'array'.*'python', 'table'"):
+            simulation_stage(ARCH64, _chain(n_jobs=4), engine="array")
+
+    def test_cli_engine_option_rejects_the_retired_engine(self, tmp_path, capsys):
+        from repro.scenarios.cli import main as cli_main
+
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"name": "retired", "base": {"model": "tiny_cnn"}}))
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main([str(spec), "--engine", "array", "--no-store"])
+        assert exit_info.value.code == 2
+        error = capsys.readouterr().err
+        assert "'array'" in error and "'python', 'table'" in error
+
+    def test_spec_file_engine_rejects_the_retired_engine(self, tmp_path, capsys):
+        from repro.scenarios.cli import main as cli_main
+
+        spec = tmp_path / "spec.json"
+        spec.write_text(
+            json.dumps(
+                {"name": "retired", "base": {"model": "tiny_cnn", "engine": "array"}}
+            )
+        )
+        assert cli_main([str(spec), "--no-store"]) == 2
+        error = capsys.readouterr().err
+        assert "'array'" in error and "'python', 'table'" in error

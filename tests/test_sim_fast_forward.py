@@ -41,6 +41,7 @@ from repro.sim.steady_state import (
     REFUSAL_PROBE_TOO_SHORT,
     REFUSAL_WINDOW_TOO_LARGE,
     FastForwardRefusal,
+    _run_replica_probe,
     fast_forward_simulate,
 )
 from repro.sim.system import SIMULATION_ENGINES, SimulationResult
@@ -185,7 +186,47 @@ SYNTHETIC = [
 ]
 
 
+def _assert_probe_records_every_tracer_event(arch, workload, b, buffer_depth):
+    """Run the replica probe on ``b`` jobs and check its recording against
+    the finalized tracer (see ``test_replica_probe_records_every_tracer_event``)."""
+    probe, result = _run_replica_probe(arch, workload.with_n_jobs(b), buffer_depth)
+    assert result.completed
+    totals = {}
+    horizons = {}
+    for (cid, category, cycles), stream in probe.substreams.items():
+        totals[cid, category] = totals.get((cid, category), 0) + cycles * len(stream)
+        horizons[cid] = max(horizons.get(cid, 0), max(stream))
+    clusters = result.tracer.clusters
+    for cid, act in clusters.items():
+        for category in ("analog", "digital", "communication"):
+            recorded = totals.get((cid, category), 0)
+            assert recorded == getattr(act, category), (
+                f"cluster {cid}: {category} recorded {recorded} cycles, "
+                f"tracer has {getattr(act, category)}"
+            )
+        assert horizons.get(cid) == act.last_busy_cycle, f"cluster {cid}: horizon"
+    assert set(horizons) == set(clusters)
+    assert set(probe.stage_ends) == {d.stage_id for d in workload.stages}, (
+        "stage compute ends not recorded"
+    )
+    for sid, ends in probe.stage_ends.items():
+        assert len(ends) == b, f"stage {sid}: {len(ends)} compute ends"
+
+
 class TestSyntheticPipelines:
+    @pytest.mark.parametrize(
+        "name,workload,must_engage",
+        SYNTHETIC,
+        ids=[case[0] for case in SYNTHETIC],
+    )
+    def test_replica_probe_records_every_tracer_event(self, name, workload, must_engage):
+        """The probe's recording on replicated, storage-relay and odd-count
+        shapes, at buffer depths 1 and 2."""
+        for buffer_depth in (1, 2):
+            _assert_probe_records_every_tracer_event(
+                ARCH64, workload, min(workload.n_jobs, 40), buffer_depth
+            )
+
     @pytest.mark.parametrize(
         "name,workload,must_engage",
         SYNTHETIC,
@@ -304,6 +345,19 @@ class TestFinalMapping:
         assert refusal is not None
         assert refusal.reason == REFUSAL_WINDOW_TOO_LARGE
         assert refusal.probes == ()  # refused before any probe ran
+
+    def test_replica_probe_records_every_tracer_event(self, final_macro):
+        """The replica probe's substreams account for the whole tracer.
+
+        Per cluster and category, cycles x events summed over the recorded
+        event families must equal the finalized tracer's total, the latest
+        recorded end must equal the busy horizon, and every stage must
+        record one compute end per job — so a recording override that goes
+        missing fails here by name instead of surfacing later as a silent
+        certification refusal.
+        """
+        arch, workload = final_macro
+        _assert_probe_records_every_tracer_event(arch, workload, 40, 2)
 
     def test_engaged_result_survives_a_payload_pickle(self, final_macro):
         arch, workload = final_macro
@@ -459,7 +513,7 @@ class TestReplicaPermutationInvariance:
     timing-interchangeable under round-robin dispatch; that assumption is
     only sound if every engine handles an arbitrary replica order
     identically.  A seeded shuffle of each stage's replica tuple must
-    leave ``result_mismatches`` empty across python/array/table.
+    leave ``result_mismatches`` empty across python/table.
     """
 
     @pytest.mark.parametrize("seed", [0, 7, 2023])

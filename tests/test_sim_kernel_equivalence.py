@@ -1,10 +1,10 @@
-"""Bit-identity harness: array-native kernel vs object kernel.
+"""Bit-identity harness: compiled table lane vs object kernel.
 
-The array kernel (``engine="array"``) is a pure performance mechanism —
-typed event rows, flat link busy-until vectors, fused DMA fan-out.  Its
-acceptance contract is *bit-identical results*: for every workload, every
-contention mode and every buffer depth, ``simulate(engine="array")`` must
-return exactly what ``simulate(engine="python")`` returns, down to the
+The table lane (``engine="table"``, the default) is a pure performance
+mechanism — opcode rows, flat link busy-until vectors, fused DMA fan-out.
+Its acceptance contract is *bit-identical results*: for every workload,
+every contention mode and every buffer depth, ``simulate(engine="table")``
+must return exactly what ``simulate(engine="python")`` returns, down to the
 per-stage completion traces and per-link busy counters.  The comparison
 runs through :func:`repro.sim.result_mismatches`, which enumerates every
 observable of a :class:`~repro.sim.SimulationResult` and reports the first
@@ -14,14 +14,15 @@ Three layers of coverage:
 
 * the synthetic pipelines and model-zoo mappings shared with the
   fast-forward suite (known shapes: replication, residual storage, HBM
-  endpoints, periodic and non-periodic pipelines);
+  endpoints, periodic and non-periodic pipelines), also at non-default
+  buffer depths and without contention;
 * a seeded randomized property sweep over small pipelines — stage counts,
   costs, byte sizes, replication widths, storage flows, buffer depths and
   contention drawn from a fixed-seed RNG, so a kernel divergence on an
   unanticipated shape shows up here first (and reproducibly);
-* the fast-forward path on top of the array kernel, which exercises the
-  bounded (``max_events``/``until``) run paths the unbounded batch loop
-  does not touch.
+* the fast-forward path on top of the table lane, whose probes run
+  shortened copies of the workload, against its own full run and against
+  the object kernel's.
 """
 
 import inspect
@@ -61,8 +62,8 @@ class TestKnownShapes:
     def test_synthetic_pipelines_identical(self, name, workload, _must_engage,
                                            model_contention):
         python = simulate(ARCH64, workload, model_contention, engine="python")
-        array = simulate(ARCH64, workload, model_contention, engine="array")
-        assert result_mismatches(python, array) == []
+        table = simulate(ARCH64, workload, model_contention, engine="table")
+        assert result_mismatches(python, table) == []
 
     @pytest.mark.parametrize(
         "name,model,shape,level,batch,clusters,classes,crossbar,_must_engage",
@@ -77,8 +78,8 @@ class TestKnownShapes:
             model, shape, level, batch, clusters, classes, crossbar
         )
         python = simulate(arch, workload, engine="python")
-        array = simulate(arch, workload, engine="array")
-        assert_results_identical(python, array)
+        table = simulate(arch, workload, engine="table")
+        assert_results_identical(python, table)
 
     def test_payloads_identical_including_stage_completions(self):
         """The persisted payloads — the cache currency — match exactly.
@@ -90,12 +91,52 @@ class TestKnownShapes:
         """
         arch, workload = _zoo_workload("tiny_cnn", (3, 32, 32), "final", 16, 16, 10, 128)
         python = simulate(arch, workload, engine="python")
-        array = simulate(arch, workload, engine="array")
-        assert result_mismatches(python, array) == []
+        table = simulate(arch, workload, engine="table")
+        assert result_mismatches(python, table) == []
         python_payload = python.to_payload()
-        array_payload = array.to_payload()
-        assert type(python_payload.pop("tracer")) is type(array_payload.pop("tracer"))
-        assert python_payload == array_payload
+        table_payload = table.to_payload()
+        assert type(python_payload.pop("tracer")) is type(table_payload.pop("tracer"))
+        assert python_payload == table_payload
+
+
+# --------------------------------------------------------------------------- #
+# Known shapes off the default operating point
+# --------------------------------------------------------------------------- #
+class TestKnownShapesOffDefaults:
+    """The known shapes at the buffer depths and contention mode that
+    ``TestKnownShapes`` leaves at their defaults: depth 1 serialises every
+    producer on its consumer's credit, depth 5 lets producers run ahead,
+    and contention-free zoo runs take the table lane's uncontended link
+    path on real mappings."""
+
+    @pytest.mark.parametrize(
+        "name,workload,_must_engage",
+        SYNTHETIC,
+        ids=[case[0] for case in SYNTHETIC],
+    )
+    @pytest.mark.parametrize("buffer_depth", [1, 5], ids=["depth1", "depth5"])
+    def test_synthetic_pipelines_identical_across_buffer_depths(
+        self, name, workload, _must_engage, buffer_depth
+    ):
+        python = simulate(ARCH64, workload, buffer_depth=buffer_depth, engine="python")
+        table = simulate(ARCH64, workload, buffer_depth=buffer_depth, engine="table")
+        assert result_mismatches(python, table) == []
+
+    @pytest.mark.parametrize(
+        "name,model,shape,level,batch,clusters,classes,crossbar,_must_engage",
+        ZOO,
+        ids=[case[0] for case in ZOO],
+    )
+    def test_zoo_mappings_identical_without_contention(
+        self, name, model, shape, level, batch, clusters, classes, crossbar,
+        _must_engage,
+    ):
+        arch, workload = _zoo_workload(
+            model, shape, level, batch, clusters, classes, crossbar
+        )
+        python = simulate(arch, workload, model_contention=False, engine="python")
+        table = simulate(arch, workload, model_contention=False, engine="table")
+        assert_results_identical(python, table)
 
 
 # --------------------------------------------------------------------------- #
@@ -179,10 +220,10 @@ class TestRandomizedProperty:
         python = simulate(
             ARCH64, workload, model_contention, buffer_depth, engine="python"
         )
-        array = simulate(
-            ARCH64, workload, model_contention, buffer_depth, engine="array"
+        table = simulate(
+            ARCH64, workload, model_contention, buffer_depth, engine="table"
         )
-        mismatches = result_mismatches(python, array)
+        mismatches = result_mismatches(python, table)
         assert mismatches == [], f"seed {seed}: {mismatches}"
 
 
@@ -216,7 +257,7 @@ def _random_arrivals(rng: random.Random, n_jobs: int):
 
 
 class TestOpenWorkloadEquivalence:
-    """Bit-identity of all three kernels under arrival-gated job launch."""
+    """Bit-identity of both kernels under arrival-gated job launch."""
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_open_pipelines_identical_across_engines(self, seed):
@@ -230,17 +271,15 @@ class TestOpenWorkloadEquivalence:
             engine: simulate(
                 ARCH64, workload, model_contention, buffer_depth, engine=engine
             )
-            for engine in ("python", "array", "table")
+            for engine in ("python", "table")
         }
-        for engine in ("array", "table"):
-            mismatches = result_mismatches(results["python"], results[engine])
-            assert mismatches == [], f"seed {seed}, {engine}: {mismatches}"
+        mismatches = result_mismatches(results["python"], results["table"])
+        assert mismatches == [], f"seed {seed}: {mismatches}"
         # every job's sojourn was recorded, identically, on every engine
         latencies = results["python"].request_latencies()
         assert len(latencies) == workload.n_jobs
         assert all(lat > 0 for lat in latencies)
-        for engine in ("array", "table"):
-            assert results[engine].request_latencies() == latencies
+        assert results["table"].request_latencies() == latencies
 
     def test_open_zoo_mapping_identical_across_engines(self):
         """A real mapped model (not a synthetic chain) under Poisson load."""
@@ -253,14 +292,12 @@ class TestOpenWorkloadEquivalence:
             )
         )
         python = simulate(arch, workload, engine="python")
-        array = simulate(arch, workload, engine="array")
         table = simulate(arch, workload, engine="table")
-        assert result_mismatches(python, array) == []
         assert result_mismatches(python, table) == []
 
 
 # --------------------------------------------------------------------------- #
-# Bounded runs: the fast-forward probe on top of the array kernel
+# Bounded runs: the fast-forward probe on top of the table lane
 # --------------------------------------------------------------------------- #
 class TestBoundedRunEquivalence:
     @pytest.mark.parametrize(
@@ -268,21 +305,81 @@ class TestBoundedRunEquivalence:
         SYNTHETIC,
         ids=[case[0] for case in SYNTHETIC],
     )
-    def test_fast_forward_on_array_kernel(self, name, workload, must_engage):
-        """FF probing uses until/max_events bounds: exact mid-batch
-        truncation with in-order resume must hold on the array kernel too."""
-        full = simulate(ARCH64, workload, engine="array")
-        ff = simulate(ARCH64, workload, fast_forward=True, engine="array")
+    def test_fast_forward_on_table_kernel(self, name, workload, must_engage):
+        """A fast-forward on the table lane is exact against its own full run."""
+        full = simulate(ARCH64, workload, engine="table")
+        ff = simulate(ARCH64, workload, fast_forward=True, engine="table")
         if must_engage:
             assert ff.fast_forwarded, f"{name}: fast-forward failed to engage"
         assert result_mismatches(full, ff, ignore_provenance=True) == []
 
+    @pytest.mark.parametrize(
+        "name,workload,must_engage",
+        SYNTHETIC,
+        ids=[case[0] for case in SYNTHETIC],
+    )
+    def test_table_fast_forward_matches_the_object_kernel_full_run(
+        self, name, workload, must_engage
+    ):
+        """The probe runs on the table lane; the reference is the object
+        kernel simulating every job."""
+        full = simulate(ARCH64, workload, engine="python")
+        ff = simulate(ARCH64, workload, fast_forward=True, engine="table")
+        if must_engage:
+            assert ff.fast_forwarded, f"{name}: fast-forward failed to engage"
+        assert result_mismatches(full, ff, ignore_provenance=True) == []
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_fast_forward_matches_the_object_kernel_full_run(self, seed):
+        """Random shapes, grown past the probe minimum, fast-forwarded on
+        the table lane: engaged or refused, the result is the full run's."""
+        rng = random.Random(5000 + seed)
+        workload = _random_workload(rng)
+        workload = workload.with_n_jobs(rng.choice([64, 96, 130]))
+        model_contention = rng.random() < 0.7
+        buffer_depth = rng.choice([1, 2, 5])
+        full = simulate(
+            ARCH64, workload, model_contention, buffer_depth, engine="python"
+        )
+        ff = simulate(
+            ARCH64, workload, model_contention, buffer_depth,
+            fast_forward=True, engine="table",
+        )
+        assert ff.fast_forwarded or ff.fast_forward_refusal is not None
+        mismatches = result_mismatches(full, ff, ignore_provenance=True)
+        assert mismatches == [], f"seed {seed}: {mismatches}"
+
+    def test_contention_free_fast_forward_identical_across_kernels(self):
+        workload = _chain(n_jobs=96, replication=3)
+        python = simulate(
+            ARCH64, workload, model_contention=False, fast_forward=True,
+            engine="python",
+        )
+        table = simulate(
+            ARCH64, workload, model_contention=False, fast_forward=True,
+            engine="table",
+        )
+        assert python.fast_forwarded and table.fast_forwarded
+        assert result_mismatches(python, table) == []
+
+    def test_fast_forwarded_payloads_identical_across_kernels(self):
+        """An extrapolated result persists to the same payload on both."""
+        workload = _chain(n_jobs=96, storage=True)
+        python = simulate(ARCH64, workload, fast_forward=True, engine="python")
+        table = simulate(ARCH64, workload, fast_forward=True, engine="table")
+        assert python.fast_forwarded and table.fast_forwarded
+        python_payload = python.to_payload()
+        table_payload = table.to_payload()
+        assert result_mismatches(python, table) == []
+        assert type(python_payload.pop("tracer")) is type(table_payload.pop("tracer"))
+        assert python_payload == table_payload
+
     def test_fast_forward_identical_across_kernels(self):
         workload = _chain(n_jobs=96, replication=2)
         python = simulate(ARCH64, workload, fast_forward=True, engine="python")
-        array = simulate(ARCH64, workload, fast_forward=True, engine="array")
-        assert python.fast_forwarded and array.fast_forwarded
-        assert result_mismatches(python, array) == []
+        table = simulate(ARCH64, workload, fast_forward=True, engine="table")
+        assert python.fast_forwarded and table.fast_forwarded
+        assert result_mismatches(python, table) == []
 
 
 # --------------------------------------------------------------------------- #
@@ -290,8 +387,7 @@ class TestBoundedRunEquivalence:
 # --------------------------------------------------------------------------- #
 class TestEngineCacheKey:
     def test_engines_key_separately(self):
-        base = simulation_key("a", "w", True, 2, engine="array")
-        assert simulation_key("a", "w", True, 2, engine="python") != base
+        base = simulation_key("a", "w", True, 2, engine="python")
         assert simulation_key("a", "w", True, 2, engine="table") != base
         assert simulation_key("a", "w", True, 2) == simulation_key(
             "a", "w", True, 2, engine="table"
@@ -301,7 +397,7 @@ class TestEngineCacheKey:
         keys = {
             simulation_key("a", "w", True, 2, fast_forward=ff, engine=engine)
             for ff in (False, True)
-            for engine in ("array", "python")
+            for engine in ("python", "table")
         }
         assert len(keys) == 4
 
