@@ -14,8 +14,6 @@ The package is organised as:
 * :mod:`repro.core` — the paper's contribution: static mapping, splitting,
   replication, reductions, residual management and pipelined execution;
 * :mod:`repro.analysis` — metrics, breakdowns and the Fig. 5/6/7 analyses;
-* :mod:`repro.perf` — the benchmark runner tracking the ``BENCH_*.json``
-  performance trajectory (``python -m repro.perf.bench``);
 * :mod:`repro.scenarios` — declarative experiment specs
   (:class:`Scenario`/:class:`ScenarioGrid`, TOML/JSON spec files), the
   content-hash-keyed :class:`ArtifactCache`, the stage pipeline and the
@@ -30,8 +28,9 @@ program time whenever reads are deterministic (read noise off — drift at
 the fixed ``NoiseModel.drift_time_s`` is deterministic); the cache is
 invalidated on reprogramming or a drift-time change.  ``backend="reference"``
 keeps the original per-tile ``Crossbar`` loop as the golden model; with
-noise disabled both backends agree to float rounding.  See the
-"Performance" section of ROADMAP.md for how to run and check benchmarks.
+noise disabled both backends agree to float rounding.  The benchmark of
+record lives outside the package, in ``perfbench/`` at the repository root
+(declared in ``BENCHMARK.json``).
 """
 
 from .arch import ArchConfig

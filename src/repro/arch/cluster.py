@@ -10,7 +10,9 @@ A cluster (Fig. 1A of the paper) contains:
 * one IMA (nvAIMC accelerator) acting as a master on the TCDM interconnect.
 
 This module carries the static description; the timing behaviour is in
-:mod:`repro.sim.cluster_model`.
+the system simulator (:mod:`repro.sim.system`, and the compiled table lane
+in :mod:`repro.sim.system_table`), with the IMA job timing in
+:mod:`repro.sim.ima_model`.
 """
 
 from __future__ import annotations

@@ -30,10 +30,11 @@ Design rules, in decreasing order of importance:
   readers therefore never observe partial entries, and racing writers
   resolve last-writer-wins — harmless, because a key determines its
   content, so duplicate writes are byte-identical artifacts.
-* **Corruption tolerates itself away.**  A truncated, garbled or
-  mismatched entry reads as a miss (and is deleted best-effort); the
-  caller rebuilds and rewrites it.  The store is an accelerator, never an
-  authority.
+* **Corruption tolerates itself away, visibly.**  A truncated, garbled
+  or mismatched entry reads as a miss (and is deleted best-effort); the
+  caller rebuilds and rewrites it.  Each such discard logs one
+  ``WARNING`` on the ``repro.scenarios.store`` logger naming the entry.
+  The store is an accelerator, never an authority.
 
 Two operational caveats.  Entries are pickled, and unpickling executes
 code: share a store directory only within a single trust domain — never
@@ -45,6 +46,7 @@ with :meth:`ArtifactStore.clear` or by deleting the directory.
 
 from __future__ import annotations
 
+import logging
 import os
 import pickle
 import tempfile
@@ -56,6 +58,8 @@ from .fingerprint import CANONICAL_VERSION
 
 #: pickled-envelope layout version; bump on any change to the entry format.
 SCHEMA_VERSION = 1
+
+logger = logging.getLogger(__name__)
 
 
 class ArtifactStore:
@@ -92,7 +96,7 @@ class ArtifactStore:
         stores, bit rot) and envelopes from other schema/canonicalisation
         versions or with mismatched addressing are treated as misses; the
         offending file is removed best-effort so it is rebuilt exactly
-        once.
+        once, and logged as a ``WARNING``; a plain miss is silent.
         """
         path = self._path(region, key)
         try:
@@ -101,7 +105,7 @@ class ArtifactStore:
         except FileNotFoundError:
             return None
         except Exception:  # truncated/garbled pickle, unreadable file, ...
-            self._discard(path)
+            self._discard_corrupt(region, key, path, "unreadable")
             return None
         if (
             not isinstance(envelope, dict)
@@ -110,7 +114,7 @@ class ArtifactStore:
             or envelope.get("region") != region
             or envelope.get("key") != key
         ):
-            self._discard(path)
+            self._discard_corrupt(region, key, path, "envelope mismatch")
             return None
         return envelope.get("payload")
 
@@ -189,6 +193,15 @@ class ArtifactStore:
         import shutil
 
         shutil.rmtree(self._namespace, ignore_errors=True)
+
+    def _discard_corrupt(
+        self, region: str, key: str, path: Path, reason: str
+    ) -> None:
+        logger.warning(
+            "discarding corrupt store entry: region=%s key=%s path=%s reason=%s",
+            region, key, path, reason,
+        )
+        self._discard(path)
 
     @staticmethod
     def _discard(path: Path) -> None:

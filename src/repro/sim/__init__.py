@@ -1,6 +1,5 @@
 """Event-driven system simulator (the GVSOC substitute)."""
 
-from .cluster_model import ClusterModel, L1OverflowError
 from .compare import assert_results_identical, result_mismatches
 from .engine import Barrier, CreditStore, Engine, Server, SimulationError
 from .ima_model import IMAJob, IMATimingModel
@@ -42,7 +41,6 @@ __all__ = [
     "BurstyArrivals",
     "CATEGORIES",
     "ClusterActivity",
-    "ClusterModel",
     "CreditStore",
     "DEFAULT_ENGINE",
     "DataFlow",
@@ -53,7 +51,6 @@ __all__ = [
     "Engine",
     "IMAJob",
     "IMATimingModel",
-    "L1OverflowError",
     "LinkPool",
     "NocModel",
     "PoissonArrivals",

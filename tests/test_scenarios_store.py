@@ -9,6 +9,7 @@ round trip.
 """
 
 import json
+import logging
 import pickle
 
 import pytest
@@ -131,12 +132,22 @@ class TestStoreRobustness:
         assert path.exists()
         return path
 
-    def test_truncated_entry_reads_as_miss_and_is_discarded(self, store):
+    def test_truncated_entry_reads_as_miss_and_is_discarded(self, store, caplog):
         key = "b" * 64
         path = self._entry_path(store, "simulation", key)
         path.write_bytes(path.read_bytes()[:10])
-        assert store.load("simulation", key) is None
+        with caplog.at_level(logging.WARNING, logger="repro.scenarios.store"):
+            assert store.load("simulation", key) is None
         assert not path.exists()  # discarded so it is rebuilt exactly once
+        [record] = caplog.records
+        assert record.levelno == logging.WARNING
+        message = record.getMessage()
+        for part in ("simulation", key, str(path), "unreadable"):
+            assert part in message
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="repro.scenarios.store"):
+            assert store.load("simulation", key) is None  # plain miss: silent
+        assert not caplog.records
 
     def test_garbage_entry_reads_as_miss(self, store):
         key = "c" * 64
@@ -160,13 +171,86 @@ class TestStoreRobustness:
         path.write_bytes(pickle.dumps(envelope))
         assert store.load("mapping", key) is None
 
-    def test_mismatched_addressing_reads_as_miss(self, store):
+    def test_mismatched_addressing_reads_as_miss(self, store, caplog):
         key = "f" * 64
         path = self._entry_path(store, "mapping", key)
         envelope = pickle.loads(path.read_bytes())
         envelope["key"] = "g" * 64
         path.write_bytes(pickle.dumps(envelope))
-        assert store.load("mapping", key) is None
+        with caplog.at_level(logging.WARNING, logger="repro.scenarios.store"):
+            assert store.load("mapping", key) is None
+        [record] = caplog.records
+        assert record.levelno == logging.WARNING
+        message = record.getMessage()
+        for part in ("mapping", key, str(path), "envelope mismatch"):
+            assert part in message
+
+    @staticmethod
+    def _rewrite_envelope(path, **changes):
+        envelope = pickle.loads(path.read_bytes())
+        envelope.update(changes)
+        path.write_bytes(pickle.dumps(envelope))
+
+    @pytest.mark.parametrize(
+        "corrupt, reason",
+        [
+            (lambda path: path.write_bytes(b""), "unreadable"),
+            (lambda path: path.write_bytes(b"\x00not a pickle at all"), "unreadable"),
+            (lambda path: path.write_bytes(pickle.dumps(["payload"])), "envelope mismatch"),
+            (
+                lambda path: TestStoreRobustness._rewrite_envelope(path, schema=SCHEMA_VERSION + 1),
+                "envelope mismatch",
+            ),
+            (
+                lambda path: TestStoreRobustness._rewrite_envelope(path, canonical=-1),
+                "envelope mismatch",
+            ),
+            (
+                lambda path: TestStoreRobustness._rewrite_envelope(path, region="mapping"),
+                "envelope mismatch",
+            ),
+        ],
+        ids=["empty", "garbage", "not-an-envelope", "stale-schema", "stale-canonical",
+             "wrong-region"],
+    )
+    def test_every_discard_logs_one_warning_with_its_reason(
+        self, store, caplog, corrupt, reason
+    ):
+        key = "k" * 64
+        path = self._entry_path(store, "workload", key)
+        corrupt(path)
+        with caplog.at_level(logging.WARNING, logger="repro.scenarios.store"):
+            assert store.load("workload", key) is None
+        assert not path.exists()
+        [record] = caplog.records
+        assert record.name == "repro.scenarios.store"
+        assert record.levelno == logging.WARNING
+        message = record.getMessage()
+        for part in ("workload", key, str(path), reason):
+            assert part in message
+
+    def test_healthy_hit_is_silent(self, store, caplog):
+        key = "m" * 64
+        self._entry_path(store, "simulation", key)
+        with caplog.at_level(logging.DEBUG, logger="repro.scenarios.store"):
+            assert store.load("simulation", key) == {"payload": True}
+        assert not caplog.records
+
+    def test_plain_miss_is_silent(self, store, caplog):
+        with caplog.at_level(logging.DEBUG, logger="repro.scenarios.store"):
+            assert store.load("simulation", "n" * 64) is None
+        assert not caplog.records
+
+    def test_corrupt_entry_warns_once_across_its_rebuild(self, store, caplog):
+        key = "p" * 64
+        build = lambda: "artifact"
+        ArtifactCache(store=store).get_or_create("mapping", key, build, persist=True)
+        store._path("mapping", key).write_bytes(b"rot")
+        with caplog.at_level(logging.WARNING, logger="repro.scenarios.store"):
+            for _ in range(2):  # two fresh processes on the same disk
+                fresh = ArtifactCache(store=store)
+                assert fresh.get_or_create("mapping", key, build, persist=True) == "artifact"
+        assert len(caplog.records) == 1  # the rewritten entry loads cleanly
 
     def test_corrupt_entry_is_rebuilt_through_the_cache(self, store):
         cache = ArtifactCache(store=store)
