@@ -30,7 +30,6 @@ from pathlib import Path
 from typing import List, Optional
 
 from ..core.policies import available_policies, policy_class
-from ..sim.system import DEFAULT_ENGINE, SIMULATION_ENGINES
 from ..sim.workload import ARRIVAL_PROCESSES
 from .spec import SpecError, load_spec
 from .store import ArtifactStore
@@ -182,16 +181,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "fast_forward = true in the spec's [base] table",
     )
     parser.add_argument(
-        "--engine",
-        choices=SIMULATION_ENGINES,
-        default=None,
-        help="pin the event kernel for every scenario (table: the "
-        "compiled state-machine lane; python: the object kernel — "
-        "bit-identical, kept as the golden reference and for performance "
-        f"comparison; default {DEFAULT_ENGINE}) "
-        "— equivalent to engine = \"...\" in the spec's [base] table",
-    )
-    parser.add_argument(
         "--arrivals",
         default=None,
         metavar="SPEC",
@@ -212,13 +201,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         '"..." in the spec\'s [base] table',
     )
     parser.add_argument(
-        "--level",
-        default=None,
-        metavar="NAME",
-        help="deprecated alias of --policy (the ladder levels are "
-        "registered policies)",
-    )
-    parser.add_argument(
         "--list-policies",
         action="store_true",
         help="print the registered mapping policies and exit",
@@ -234,25 +216,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
     if args.spec is None:
         parser.error("a spec file is required (or use --list-policies)")
-    policy = args.policy
-    if args.level is not None:
-        print(
-            "warning: --level is deprecated, use --policy (the ladder "
-            "levels are registered policies)",
-            file=sys.stderr,
-        )
-        if policy is None:
-            policy = args.level
-
     try:
         grid = load_spec(args.spec)
         scenarios = grid.expand()
-        if policy is not None:
-            scenarios = [s.replace(mapping=policy) for s in scenarios]
+        if args.policy is not None:
+            scenarios = [s.replace(mapping=args.policy) for s in scenarios]
         if args.fast_forward:
             scenarios = [s.replace(fast_forward=True) for s in scenarios]
-        if args.engine is not None:
-            scenarios = [s.replace(engine=args.engine) for s in scenarios]
         if args.arrivals is not None:
             arrivals = _parse_arrivals_option(args.arrivals)
             scenarios = [s.replace(arrivals=arrivals) for s in scenarios]

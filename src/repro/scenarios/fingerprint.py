@@ -43,7 +43,6 @@ from typing import Any
 import numpy as np
 
 from ..dnn.graph import Graph
-from ..sim.system import DEFAULT_ENGINE
 
 
 class FingerprintError(TypeError):
@@ -252,7 +251,6 @@ def simulation_key(
     model_contention: bool,
     buffer_depth: int,
     fast_forward: bool = False,
-    engine: str = DEFAULT_ENGINE,
     arrivals: Any = None,
 ) -> str:
     """Key of a :class:`~repro.sim.system.SimulationResult`.
@@ -264,16 +262,10 @@ def simulation_key(
     the key even though fast-forwarded results are bit-identical on every
     metric: the persisted payload records the ``fast_forwarded`` provenance
     flag, and serving one mode's artifact to the other would misreport it.
-    ``engine`` (table vs python kernel; the default is
-    :data:`~repro.sim.system.DEFAULT_ENGINE`, the table lane) is likewise
-    part of the key despite bit-identical payloads: a sweep that pins the
-    kernel must actually run it — serving another kernel's artifact would
-    silently mask any divergence the kernel-equivalence suite exists to
-    catch.  Adding the axis changed every simulation key once; historical
-    artifacts miss cleanly and are re-simulated.  This function only
-    renders the key and does not validate the engine name: artifacts
-    persisted under the retired ``"array"`` kernel keep their keys, but
-    no valid scenario requests them any more, so they simply go unread.
+    The key still carries the constant ``"table"`` token of the retired
+    engine axis, so keys rendered before the axis was dropped (under the
+    default table lane) stay byte-identical and existing stores keep
+    serving; artifacts persisted under any other kernel simply go unread.
 
     ``arrivals`` carries the *resolved* arrival schedule of an open-system
     workload — the tuple of per-job arrival cycles, never the generator
@@ -290,7 +282,9 @@ def simulation_key(
         model_contention,
         buffer_depth,
         fast_forward,
-        engine,
+        # the retired engine axis: every simulation runs the table lane, and
+        # keeping its token keeps every key byte-identical to earlier stores
+        "table",
     )
     if arrivals is not None:
         token = token + (("arrivals", tuple(arrivals)),)

@@ -54,7 +54,6 @@ from ..core.pipeline import lower_to_workload
 from ..dnn.graph import Graph
 from ..dnn.numerics import ReferenceExecutor, initialize_parameters, random_input
 from ..sim.system import (
-    DEFAULT_ENGINE,
     SimulationRecord,
     SimulationResult,
     simulate,
@@ -247,7 +246,6 @@ def simulation_stage(
     model_contention: bool = True,
     buffer_depth: int = 2,
     fast_forward: bool = False,
-    engine: str = DEFAULT_ENGINE,
     arrivals: Any = None,
     cache: Optional[ArtifactCache] = None,
 ) -> SimulationResult:
@@ -261,11 +259,8 @@ def simulation_stage(
     ``fast_forward`` enables the exact steady-state fast-forward
     (:mod:`repro.sim.steady_state`); it changes how the result is computed,
     never its metrics, but keys separately so the persisted
-    ``fast_forwarded`` provenance flag stays truthful.  ``engine`` selects
-    the event kernel: the compiled table lane by default
-    (:data:`~repro.sim.system.DEFAULT_ENGINE`, the fastest), or the
-    object kernel; the kernels are bit-identical but key separately so a
-    pinned-kernel sweep really exercises the kernel it pinned.
+    ``fast_forwarded`` provenance flag stays truthful.  The simulation
+    runs on the compiled table lane (:data:`~repro.sim.system.DEFAULT_ENGINE`).
 
     ``arrivals`` accepts every spelling
     :func:`~repro.sim.workload.resolve_arrivals` does; when given, the
@@ -285,7 +280,6 @@ def simulation_stage(
             model_contention=model_contention,
             buffer_depth=buffer_depth,
             fast_forward=fast_forward,
-            engine=engine,
         )
     key = simulation_key(
         arch_key(arch),
@@ -293,7 +287,6 @@ def simulation_stage(
         model_contention,
         buffer_depth,
         fast_forward,
-        engine,
         arrivals=workload.arrival_cycles or None,
     )
     return cache.get_or_create(
@@ -305,7 +298,6 @@ def simulation_stage(
             model_contention=model_contention,
             buffer_depth=buffer_depth,
             fast_forward=fast_forward,
-            engine=engine,
         ),
         persist=True,
         dump=lambda result: result.to_payload(),
@@ -598,7 +590,6 @@ def run_scenario(
         model_contention=scenario.model_contention,
         buffer_depth=scenario.buffer_depth,
         fast_forward=scenario.fast_forward,
-        engine=scenario.engine,
         arrivals=scenario.arrivals,
         cache=cache,
     )

@@ -64,7 +64,6 @@ from ..core.policies import (
 )
 from ..dnn import models as model_zoo
 from ..dnn.graph import Graph
-from ..sim.system import DEFAULT_ENGINE, SIMULATION_ENGINES
 from ..sim.workload import (
     ARRIVAL_PROCESSES,
     ArrivalError,
@@ -300,14 +299,6 @@ class Scenario:
     #: flag is still part of the simulation cache key because the record
     #: carries the ``fast_forwarded`` provenance marker.
     fast_forward: bool = False
-    #: which event-kernel implementation runs the simulation stage:
-    #: ``"table"`` (the compiled state-machine lane, default and fastest)
-    #: or ``"python"`` (the object kernel, the golden reference).  Both are
-    #: bit-identical, so this is a performance axis; it is still part of
-    #: the simulation cache key so a sweep that pins it never reuses
-    #: another kernel's artifacts (which would mask any divergence the
-    #: equivalence suite is meant to catch).
-    engine: str = DEFAULT_ENGINE
     # -- serving axis: open-system arrival process ------------------------- #
     #: arrival-process spec making the scenario an open-system serving run:
     #: a mapping with a ``process`` key naming a registered kind from
@@ -362,11 +353,6 @@ class Scenario:
             raise SpecError("n_clusters must be positive when given")
         if self.buffer_depth <= 0:
             raise SpecError("buffer_depth must be positive")
-        if self.engine not in SIMULATION_ENGINES:
-            raise SpecError(
-                f"unknown simulation engine {self.engine!r}; "
-                f"expected one of {SIMULATION_ENGINES}"
-            )
         if self.arrivals is not None:
             object.__setattr__(self, "arrivals", _freeze_arrivals(self.arrivals))
             try:

@@ -110,27 +110,19 @@ class Engine:
         else:
             bucket.append(callback)
 
-    def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
-        """Run until the queue drains (or ``until`` / ``max_events`` is hit).
+    def run(self) -> int:
+        """Run until the queue drains; returns the final simulated time.
 
-        Returns the simulated time at which the run stopped.  A bounded run
-        always leaves the clock at ``until`` when the queue drains earlier,
-        so back-to-back ``run(until=...)`` calls observe a consistent,
-        monotonic clock regardless of how the events happen to be spaced.
-        A bound in the past is a no-op: the clock never moves backward.
-        ``max_events`` may stop the run in the middle of a same-cycle batch;
-        the unprocessed remainder stays queued in order and a later ``run``
-        resumes exactly where this one stopped.  ``run`` is not re-entrant:
-        calling it from inside an event callback raises
-        :class:`SimulationError`.
+        ``run`` is not re-entrant: calling it from inside an event callback
+        raises :class:`SimulationError`.  When a callback raises, the
+        unprocessed remainder of its same-cycle batch stays queued in order,
+        so a later ``run`` resumes exactly after the failed event.
         """
         if self._running:
             raise SimulationError(
                 "Engine.run() is not re-entrant: it was called from inside "
                 "an event callback while a run is already in progress"
             )
-        if until is not None and until < self._now:
-            return self._now
         self._running = True
         processed = 0
         times = self._times
@@ -138,48 +130,30 @@ class Engine:
         heappop = heapq.heappop
         try:
             while times:
-                time = times[0]
-                if until is not None and time > until:
-                    self._now = until
-                    break
-                heappop(times)
+                time = heappop(times)
                 bucket = buckets.pop(time)
                 self._now = time
                 self._active = bucket
                 index = 0
                 try:
-                    if max_events is None:
-                        # hot loop: the batch may grow while it drains
-                        # (same-cycle continuations append to ``bucket``),
-                        # so iterate by index until it runs off the end.
-                        while True:
-                            try:
-                                callback = bucket[index]
-                            except IndexError:
-                                break
-                            index += 1
-                            callback()
-                            processed += 1
-                    else:
-                        while index < len(bucket):
+                    # the batch may grow while it drains (same-cycle
+                    # continuations append to ``bucket``), so iterate by
+                    # index until it runs off the end.
+                    while True:
+                        try:
                             callback = bucket[index]
-                            index += 1
-                            callback()
-                            processed += 1
-                            if processed >= max_events:
-                                break
+                        except IndexError:
+                            break
+                        index += 1
+                        callback()
+                        processed += 1
                 finally:
                     self._active = None
                     if index < len(bucket):
-                        # truncated mid-batch (max_events, or a callback
-                        # raised): requeue the unprocessed tail so a later
-                        # run() resumes in order.
+                        # a callback raised: requeue the unprocessed tail so
+                        # a later run() resumes in order.
                         buckets[time] = bucket[index:]
                         heapq.heappush(times, time)
-                if max_events is not None and processed >= max_events:
-                    break
-            if until is not None and not times and self._now < until:
-                self._now = until
         finally:
             self._running = False
             self._active = None

@@ -41,15 +41,14 @@ runs dispatch in exact bucket order — so everything the tables do not
 compile (external feeds, re-entrant credit waiters) stays a callback, and
 the object primitives (:class:`~repro.sim.engine.Server`,
 :class:`~repro.sim.engine.CreditStore`) run on this engine as on the
-object kernel.  Every row counts as one event; a bounded ``max_events``
-run may stop between rows of one bucket and resumes in order.  The
-bit-identity gate is ``tests/test_sim_kernel_equivalence.py``.
+object kernel.  Every row counts as one event.  The bit-identity gate is
+``tests/test_sim_kernel_equivalence.py``.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .engine import Engine, SimulationError
 
@@ -179,47 +178,21 @@ class TableEngine(Engine):
     # ------------------------------------------------------------------ #
     # Dispatch
     # ------------------------------------------------------------------ #
-    def _dispatch_row(self, row: int) -> None:
-        """Dispatch one opcode row at the current time (the bounded path)."""
-        cycles = self._row_cycles[row]
-        if cycles < 0:
-            arg = self._row_arg[row]
-            self._row_arg[row] = None
-            self._free_rows.append(row)
-            self._handlers[self._row_op[row]](arg)
-            return
-        # deferral pending: re-queue this same row, deferral consumed
-        self._row_cycles[row] = _CONSUMED
-        if cycles == 0:
-            self._active.append(row)
-            return
-        time = self._now + cycles
-        bucket = self._buckets.get(time)
-        if bucket is None:
-            self._buckets[time] = [row]
-            heapq.heappush(self._times, time)
-        else:
-            bucket.append(row)
-
-    def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
-        """Run until the queue drains (or ``until`` / ``max_events`` is hit).
+    def run(self) -> int:
+        """Run until the queue drains; returns the final simulated time.
 
         Same contract as :meth:`repro.sim.engine.Engine.run` — including
-        mid-batch ``max_events`` truncation with in-order resume and
-        non-re-entrancy — extended to opcode rows, each of which counts as
-        one event.  Under a ``max_events`` bound rows are dispatched one at
-        a time through :meth:`_dispatch_row`; the unbounded hot loop folds
-        the dispatch into the bucket walk — one jump-table call per row
-        with no intermediate method dispatch, which is where a compiled
-        run spends its remaining per-event time.
+        non-re-entrancy and the in-order requeue of a batch's unprocessed
+        tail when an event raises — extended to opcode rows, each of which
+        counts as one event.  The dispatch is folded into the bucket walk:
+        one jump-table call per row with no intermediate method dispatch,
+        which is where a compiled run spends its remaining per-event time.
         """
         if self._running:
             raise SimulationError(
                 "Engine.run() is not re-entrant: it was called from inside "
                 "an event callback while a run is already in progress"
             )
-        if until is not None and until < self._now:
-            return self._now
         self._running = True
         processed = 0
         times = self._times
@@ -233,71 +206,51 @@ class TableEngine(Engine):
         handlers = self._handlers
         try:
             while times:
-                time = times[0]
-                if until is not None and time > until:
-                    self._now = until
-                    break
-                heappop(times)
+                time = heappop(times)
                 bucket = buckets.pop(time)
                 self._now = time
                 self._active = bucket
                 index = 0
                 try:
-                    if max_events is None:
-                        # hot loop: the batch may grow while it drains, so
-                        # iterate by index until it runs off the end.
-                        while True:
-                            try:
-                                entry = bucket[index]
-                            except IndexError:
-                                break
-                            index += 1
-                            processed += 1
-                            if type(entry) is not int:
-                                entry()
-                                continue
-                            cycles = row_cycles[entry]
-                            if cycles < 0:
-                                arg = row_arg[entry]
-                                row_arg[entry] = None
-                                free.append(entry)
-                                handlers[row_op[entry]](arg)
-                                continue
-                            # pending deferral: re-queue this same row
-                            row_cycles[entry] = _CONSUMED
-                            if cycles == 0:
-                                bucket.append(entry)
-                                continue
-                            target = time + cycles
-                            nxt = buckets.get(target)
-                            if nxt is None:
-                                buckets[target] = [entry]
-                                heappush(times, target)
-                            else:
-                                nxt.append(entry)
-                    else:
-                        while index < len(bucket):
+                    # the batch may grow while it drains, so iterate by
+                    # index until it runs off the end.
+                    while True:
+                        try:
                             entry = bucket[index]
-                            index += 1
-                            if type(entry) is int:
-                                self._dispatch_row(entry)
-                            else:
-                                entry()
-                            processed += 1
-                            if processed >= max_events:
-                                break
+                        except IndexError:
+                            break
+                        index += 1
+                        processed += 1
+                        if type(entry) is not int:
+                            entry()
+                            continue
+                        cycles = row_cycles[entry]
+                        if cycles < 0:
+                            arg = row_arg[entry]
+                            row_arg[entry] = None
+                            free.append(entry)
+                            handlers[row_op[entry]](arg)
+                            continue
+                        # pending deferral: re-queue this same row
+                        row_cycles[entry] = _CONSUMED
+                        if cycles == 0:
+                            bucket.append(entry)
+                            continue
+                        target = time + cycles
+                        nxt = buckets.get(target)
+                        if nxt is None:
+                            buckets[target] = [entry]
+                            heappush(times, target)
+                        else:
+                            nxt.append(entry)
                 finally:
                     self._active = None
                     if index < len(bucket):
-                        # truncated mid-batch (max_events, or an event
-                        # raised): requeue the unprocessed tail — callables
-                        # and rows alike — so a later run() resumes in order.
+                        # an event raised: requeue the unprocessed tail —
+                        # callables and rows alike — so a later run()
+                        # resumes in order.
                         buckets[time] = bucket[index:]
                         heappush(times, time)
-                if max_events is not None and processed >= max_events:
-                    break
-            if until is not None and not times and self._now < until:
-                self._now = until
         finally:
             self._running = False
             self._active = None

@@ -58,7 +58,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..arch.config import ArchConfig
-from .system import DEFAULT_ENGINE, SimulationResult, SystemSimulator
+from .system import SimulationResult, SystemSimulator
 from .system_table import TableProgram
 from .workload import (
     ENDPOINT_HBM,
@@ -157,19 +157,19 @@ _LinkSnap = Dict[str, int]
 
 
 class _ProbeSimulator(SystemSimulator):
-    """A system simulator that snapshots state at final-stage completions.
+    """A table-lane simulator that snapshots state at final-stage completions.
 
     Snapshots are taken at identical event positions (the ``job_finished``
     call of the final stage), so window-to-window comparisons are exact.
     """
 
-    def __init__(self, arch, workload, model_contention, buffer_depth, engine):
+    def __init__(self, arch, workload, model_contention, buffer_depth):
         super().__init__(
             arch,
             workload,
             model_contention=model_contention,
             buffer_depth=buffer_depth,
-            engine=engine,
+            engine="table",
         )
         self._final_stage_id = workload.final_stage().stage_id
         #: (now, hbm_bytes, noc_bytes, noc_byte_hops, local_bytes, n_transfers)
@@ -181,10 +181,9 @@ class _ProbeSimulator(SystemSimulator):
     def job_finished(self, stage_id: int, job_index: int) -> None:
         super().job_finished(stage_id, job_index)
         if stage_id == self._final_stage_id:
-            # snapshot_activity is engine-aware: the table engine serves
-            # clusters/links from its dense mid-run lanes, the object
-            # kernel from the tracer — identical values either way.
-            counters, clusters, stages, links = self.snapshot_activity()
+            # clusters/links come from the table lane's dense mid-run
+            # vectors, which only materialise into the tracer at the end
+            counters, clusters, stages, links = self._table.snapshot_activity()
             self.counter_snaps.append(counters)
             self.cluster_snaps.append(clusters)
             self.stage_snaps.append(stages)
@@ -428,10 +427,9 @@ def _run_probe(
     b: int,
     model_contention: bool,
     buffer_depth: int,
-    engine: str,
 ) -> Tuple[_ProbeSimulator, SimulationResult]:
     probe = _ProbeSimulator(
-        arch, workload.with_n_jobs(b), model_contention, buffer_depth, engine
+        arch, workload.with_n_jobs(b), model_contention, buffer_depth
     )
     return probe, probe.run()
 
@@ -441,7 +439,6 @@ def _global_fast_forward(
     workload: Workload,
     model_contention: bool,
     buffer_depth: int,
-    engine: str,
     attempts: List[str],
 ) -> Optional[SimulationResult]:
     """The single-anchor certification path (windows ``≤ MAX_WINDOW``).
@@ -465,11 +462,9 @@ def _global_fast_forward(
         if b >= n or b > n // 2:
             attempts.append(f"global probe b={b} skipped: exceeds n/2={n // 2}")
             break
-        probe, result = _run_probe(
-            arch, workload, b, model_contention, buffer_depth, engine
-        )
+        probe, result = _run_probe(arch, workload, b, model_contention, buffer_depth)
         probes_run += 1
-        logger.info("fast-forward global probe: b=%d engine=%s", b, engine)
+        logger.info("fast-forward global probe: b=%d", b)
         if not result.completed:
             attempts.append(f"global probe b={b}: probe run did not complete")
             return None
@@ -506,7 +501,7 @@ def _global_fast_forward(
                     "fast-forward global escalation: b=%d aligned to W=%d", b2, window
                 )
                 probe, result = _run_probe(
-                    arch, workload, b2, model_contention, buffer_depth, engine
+                    arch, workload, b2, model_contention, buffer_depth
                 )
                 if result.completed:
                     plan = _analyze(probe, result, window)
@@ -1671,13 +1666,12 @@ def _replica_fast_forward(
     nothing.
     """
     n = workload.n_jobs
-    # The probe always runs on the table lane, whatever engine the caller
-    # asked for: the engines are bit-identical (the equivalence suite
-    # enforces it), the table lane is the fastest, and its fused per-group
-    # source-side burst records carry exactly the per-flow granularity
-    # that family certification needs (the object kernel records every
-    # chunk separately, collapsing distinct flows into one
-    # indistinguishable event family).
+    # Like the global probe, this one runs on the table lane: the engines
+    # are bit-identical (the equivalence suite enforces it), the table lane
+    # is the fastest, and its fused per-group source-side burst records
+    # carry exactly the per-flow granularity that family certification
+    # needs (the object kernel records every chunk separately, collapsing
+    # distinct flows into one indistinguishable event family).
     b = max(PROBE_TARGET, 2 * q_max + MIN_WINDOWS + 1)
 
     def refuse(reason: str, detail: str) -> FastForwardRefusal:
@@ -1812,7 +1806,6 @@ def fast_forward_simulate(
     workload: Workload,
     model_contention: bool = True,
     buffer_depth: int = 2,
-    engine: str = DEFAULT_ENGINE,
 ) -> Union[SimulationResult, "FastForwardRefusal"]:
     """Simulate ``workload`` by steady-state extrapolation when provably exact.
 
@@ -1856,7 +1849,7 @@ def fast_forward_simulate(
         )
     if model_contention or q_max <= MAX_WINDOW:
         extrapolated = _global_fast_forward(
-            arch, workload, model_contention, buffer_depth, engine, attempts
+            arch, workload, model_contention, buffer_depth, attempts
         )
         if extrapolated is not None:
             return extrapolated

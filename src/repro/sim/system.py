@@ -69,16 +69,24 @@ from .workload import (
 SIMULATION_PAYLOAD_VERSION = 4
 
 #: valid values of the ``engine`` argument of :func:`simulate` /
-#: :class:`SystemSimulator`: the original object kernel (the golden
-#: reference) and the compiled state-machine lane
+#: :class:`SystemSimulator` — the only two entry points that take one: the
+#: original object kernel (the golden reference the equivalence tests
+#: compare against) and the compiled state-machine lane
 #: (:mod:`repro.sim.system_table`), bit-identical to it.
 SIMULATION_ENGINES = ("python", "table")
 
-#: the engine every layer uses unless told otherwise (:func:`simulate`,
-#: the fast-forward, the scenario pipeline, its cache keys and the CLI):
-#: the compiled table lane, the fastest, with results bit-identical to
-#: the object kernel's.
+#: the engine of :func:`simulate` and :class:`SystemSimulator` unless told
+#: otherwise, and the only one the fast-forward probe, the scenario
+#: pipeline and the CLI run: the compiled table lane, the fastest.
 DEFAULT_ENGINE = "table"
+
+
+def _check_engine(engine: str) -> None:
+    if engine not in SIMULATION_ENGINES:
+        raise ValueError(
+            f"unknown simulation engine {engine!r}; "
+            f"expected one of {SIMULATION_ENGINES}"
+        )
 
 
 @dataclass(frozen=True)
@@ -536,16 +544,11 @@ class SystemSimulator:
         buffer_depth: int = 2,
         engine: str = DEFAULT_ENGINE,
     ):
-        if engine not in SIMULATION_ENGINES:
-            raise ValueError(
-                f"unknown simulation engine {engine!r}; "
-                f"expected one of {SIMULATION_ENGINES}"
-            )
+        _check_engine(engine)
         workload.validate(arch.n_clusters)
         self.arch = arch
         self.workload = workload
         self.buffer_depth = buffer_depth
-        self.engine_kind = engine
         self.tracer = Tracer()
         if engine == "table":
             # compiled state-machine lane: the whole workload lifecycle —
@@ -828,65 +831,19 @@ class SystemSimulator:
         if stage_id == self._request_stage_id:
             self.tracer.record_request_completion(job_index, now)
 
-    def snapshot_activity(self):
-        """Mid-run snapshot of counters and per-cluster/stage/link activity.
-
-        Returns ``(counters, clusters, stages, links)``: the aggregate
-        traffic counters ``(now, hbm_bytes, noc_bytes, noc_byte_hops,
-        local_bytes, n_transfers)``, per-cluster 6-tuples ``(analog,
-        digital, communication, synchronization, jobs, last_busy_cycle)``,
-        per-stage 7-tuples ``(jobs_completed, analog_busy, digital_busy,
-        input_stall, output_stall, first_job_start, last_job_end)`` and a
-        per-link busy-cycles dict.  The steady-state prober reads this at
-        every final-stage completion; the hook exists because the table
-        engine accumulates cluster/link activity in dense vectors that
-        only materialise into the tracer at the end of the run.
-        """
-        if self._table is not None:
-            return self._table.snapshot_activity()
-        tracer = self.tracer
-        counters = (
-            self.engine._now,
-            tracer.hbm_bytes,
-            tracer.noc_bytes,
-            tracer.noc_byte_hops,
-            tracer.local_bytes,
-            tracer.n_transfers,
-        )
-        clusters = {
-            cid: (
-                act.analog,
-                act.digital,
-                act.communication,
-                act.synchronization,
-                act.jobs,
-                act.last_busy_cycle,
-            )
-            for cid, act in tracer.clusters.items()
-        }
-        stages = {
-            sid: (
-                rec.jobs_completed,
-                rec.analog_busy,
-                rec.digital_busy,
-                rec.input_stall,
-                rec.output_stall,
-                rec.first_job_start,
-                rec.last_job_end,
-            )
-            for sid, rec in tracer.stages.items()
-        }
-        return counters, clusters, stages, dict(tracer.link_busy)
-
-    def run(self, max_cycles: Optional[int] = None) -> SimulationResult:
+    def run(self) -> SimulationResult:
         """Run the workload to completion and return the results."""
         if self._table is not None:
             table = self._table
             table.build()
             table.start()
-            self.engine.run(until=max_cycles)
+            self.engine.run()
             table.finalize()
             jobs_completed = table.jobs_completed_by_stage()
+            # drop the peak-size row storage so a long-lived holder of this
+            # simulator (sweep workers, the steady-state prober) does not
+            # retain it (see ``TableEngine.reset``).
+            self.engine.reset()
         else:
             self._build()
             # Stages with no inputs at all (rare: constant generators) start
@@ -894,7 +851,7 @@ class SystemSimulator:
             for runtime in self._stages.values():
                 if not runtime.desc.inputs:
                     runtime._try_start()
-            self.engine.run(until=max_cycles)
+            self.engine.run()
             jobs_completed = {
                 stage_id: runtime.jobs_completed
                 for stage_id, runtime in self._stages.items()
@@ -904,19 +861,13 @@ class SystemSimulator:
             for sid, count in jobs_completed.items()
             if count != self.workload.n_jobs
         }
-        if incomplete and max_cycles is None:
+        if incomplete:
             raise SimulationError(
                 f"simulation finished with incomplete stages: {incomplete} "
                 f"(expected {self.workload.n_jobs} jobs each); the workload "
                 "data-flow graph is inconsistent"
             )
         makespan = self.tracer.makespan
-        engine = self.engine
-        if isinstance(engine, TableEngine) and not engine._times:
-            # drained run: drop the peak-size row storage so a long-lived
-            # holder of this simulator (sweep workers, the steady-state
-            # prober) does not retain it (see ``TableEngine.reset``).
-            engine.reset()
         final_stage = self.workload.final_stage()
         final_trace = self.tracer.stage_completions.get(final_stage.stage_id, ())
         return SimulationResult(
@@ -953,21 +904,17 @@ def simulate(
     result (``fast_forward_refusal``), so ``fast_forward=True`` is always
     safe, merely not always faster.
 
-    ``engine`` selects the event kernel: ``"table"`` (the default,
-    :data:`DEFAULT_ENGINE`) runs the compiled state-machine lane
+    ``engine`` selects the event kernel of the full run: ``"table"`` (the
+    default, :data:`DEFAULT_ENGINE`) runs the compiled state-machine lane
     (:mod:`repro.sim.engine_table` / :mod:`repro.sim.system_table`), which
     replaces the per-event callbacks with opcode dispatch over flat state
-    vectors; ``"python"`` the original object kernel.  Both produce
-    bit-identical results (asserted in
-    ``tests/test_sim_kernel_equivalence.py``); the table lane is the
-    default because it is the fastest, and the object kernel stays
-    selectable as the golden reference and as a sweepable scenario axis.
+    vectors; ``"python"`` the original object kernel, kept as the golden
+    reference the equivalence tests compare against
+    (``tests/test_sim_kernel_equivalence.py``).  The fast-forward probe
+    always runs on the table lane.  An unknown name is rejected before any
+    work, the probe included.
     """
-    if engine not in SIMULATION_ENGINES:
-        raise ValueError(
-            f"unknown simulation engine {engine!r}; "
-            f"expected one of {SIMULATION_ENGINES}"
-        )
+    _check_engine(engine)
     refusal = None
     if fast_forward:
         from .steady_state import fast_forward_simulate
@@ -977,7 +924,6 @@ def simulate(
             workload,
             model_contention=model_contention,
             buffer_depth=buffer_depth,
-            engine=engine,
         )
         if isinstance(outcome, SimulationResult):
             return outcome

@@ -30,9 +30,7 @@ are all deterministic given event order.  Steps whose continuation is an
 arbitrary closure stay callbacks and ride the engine's callback lane
 unchanged: the external HBM feeds (their fetch → grant → deliver
 recursion is re-entrant through the credit queue, so the credit waiter
-queues hold *either* packed ints or callables).  Rows keep their
-identity when a bounded ``max_events`` run requeues them, so resume
-order is exact.
+queues hold *either* packed ints or callables).
 
 Equivalence contract: every event this program schedules lands at the
 same simulated time, in the same bucket insertion position, as the
@@ -44,9 +42,9 @@ fast-forward prober must see mid-run (aggregate counters, live
 :class:`~repro.sim.tracer.StageActivity`, stage completions) stays on
 the tracer; per-cluster and per-link activity accumulate in dense arrays
 and materialise into the tracer in first-touch order at
-:meth:`finalize` (``SystemSimulator.snapshot_activity`` reads the dense
-form mid-run).  Bit-identity against the object kernel is asserted by
-``tests/test_sim_kernel_equivalence.py``.
+:meth:`finalize` (:meth:`TableProgram.snapshot_activity` reads the dense
+form mid-run for the fast-forward probe).  Bit-identity against the
+object kernel is asserted by ``tests/test_sim_kernel_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -596,7 +594,16 @@ class TableProgram:
             tracer.makespan = self._mk
 
     def snapshot_activity(self):
-        """Mid-run activity snapshot (the fast-forward probe hook)."""
+        """Mid-run activity snapshot (the fast-forward probe hook).
+
+        Returns ``(counters, clusters, stages, links)``: the aggregate
+        traffic counters ``(now, hbm_bytes, noc_bytes, noc_byte_hops,
+        local_bytes, n_transfers)``, per-cluster 6-tuples ``(analog,
+        digital, communication, synchronization, jobs, last_busy_cycle)``,
+        per-stage 7-tuples ``(jobs_completed, analog_busy, digital_busy,
+        input_stall, output_stall, first_job_start, last_job_end)`` and a
+        per-link busy-cycles dict.
+        """
         tracer = self.tracer
         counters = (
             self.engine._now,

@@ -65,9 +65,10 @@ class TestScenarioSpec:
             Scenario(n_clusters=-1)
         with pytest.raises(SpecError):
             Scenario(buffer_depth=0)
-        # the retired array-native kernel is no longer a valid engine
-        with pytest.raises(SpecError, match=r"'array'.*'python', 'table'"):
-            Scenario(engine="array")
+        # the event kernel is not a scenario field: every scenario runs
+        # the table lane
+        with pytest.raises(TypeError, match="engine"):
+            Scenario(engine="python")
 
     def test_label_and_replace(self):
         assert TINY.label == "tiny_cnn/final/x256/c16/b4"
@@ -186,7 +187,6 @@ class TestFingerprints:
             "model_contention": False,
             "buffer_depth": 3,
             "fast_forward": True,
-            "engine": "python",
             "arrivals": {"process": "deterministic", "interval_cycles": 100},
             "execution": "typical",
             "name": "renamed",

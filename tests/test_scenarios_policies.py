@@ -276,7 +276,7 @@ class TestScheduleEndToEnd:
 # --------------------------------------------------------------------------- #
 # CLI flags
 # --------------------------------------------------------------------------- #
-def write_spec(tmp_path):
+def write_spec(tmp_path, extra=""):
     spec = tmp_path / "spec.toml"
     spec.write_text(
         """
@@ -289,6 +289,7 @@ num_classes = 10
 n_clusters = 16
 batch_size = 2
 """
+        + extra
     )
     return spec
 
@@ -316,19 +317,22 @@ class TestCli:
         assert cli_main([str(spec), "--policy", "warp"]) == 2
         assert "unknown mapping policy" in capsys.readouterr().err
 
-    def test_level_flag_is_a_deprecated_alias(self, tmp_path, capsys):
-        spec = write_spec(tmp_path)
-        assert cli_main([str(spec), "--level", "naive", "--list"]) == 0
-        captured = capsys.readouterr()
-        assert "deprecated" in captured.err
-        assert "tiny_cnn/naive/" in captured.out
+    def test_spec_level_field_selects_the_policy(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, 'level = "naive"\n')
+        assert cli_main([str(spec), "--list"]) == 0
+        assert "tiny_cnn/naive/" in capsys.readouterr().out
 
     def test_policy_wins_over_level(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, 'level = "naive"\n')
+        assert cli_main([str(spec), "--policy", "replicated", "--list"]) == 0
+        out = capsys.readouterr().out
+        assert "tiny_cnn/replicated/" in out
+        assert "tiny_cnn/naive/" not in out
+
+    def test_level_flag_is_rejected(self, tmp_path, capsys):
+        """The retired ``--level`` alias is unknown to the parser."""
         spec = write_spec(tmp_path)
-        assert (
-            cli_main(
-                [str(spec), "--policy", "replicated", "--level", "naive", "--list"]
-            )
-            == 0
-        )
-        assert "tiny_cnn/replicated/" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main([str(spec), "--level", "naive", "--list"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --level" in capsys.readouterr().err

@@ -243,13 +243,20 @@ class TestFastForwardRefusal:
 # --------------------------------------------------------------------------- #
 # Closed-batch back-compat: fingerprints and records
 # --------------------------------------------------------------------------- #
-#: content digest of ``_chain(n_jobs=48, replication=2)`` and the simulation
-#: key built from it, computed at the pre-serving tree (PR 8 HEAD).  The
-#: ``arrival_cycles`` field is fingerprint-omitted at its default, so both
-#: must stay byte-identical forever; a change here silently invalidates
-#: every closed-batch artifact store.
+#: content digest of ``_chain(n_jobs=48, replication=2)``, computed at the
+#: pre-serving tree.  The ``arrival_cycles`` field is fingerprint-omitted at
+#: its default, so it must stay byte-identical forever; a change here
+#: silently invalidates every closed-batch artifact store.
 PINNED_CHAIN_DIGEST = "b7e0472f539fb6db2f63874e0d370a339809faf6284654fe08cc09f5bf379665"
-PINNED_SIMULATION_KEY = "e491508512e8e799f9bb164dafe2e248bd98ef48c3ffbaaceffb031e6b5ffa48"
+#: simulation keys of that chain on ``ARCH64`` (contention on, buffer depth
+#: 2): closed, and open under ``DeterministicArrivals(300)``.  Computed
+#: while the engine was still a scenario axis, with its default (the table
+#: lane): dropping the axis must not move any key, or every artifact store
+#: would be re-simulated.
+PINNED_SIMULATION_KEY = "b243605929ebd8bcdce570e5f1f8e4a05f244b803f3fbeb77669f5062b27d216"
+PINNED_OPEN_SIMULATION_KEY = (
+    "73faa50670d3d80f5dd85751a2fd452115f8b64af75baf9c50b79c6eb25997b3"
+)
 
 
 class TestClosedBatchBackCompat:
@@ -257,15 +264,19 @@ class TestClosedBatchBackCompat:
         workload = _chain(n_jobs=48, replication=2)
         assert content_digest(workload) == PINNED_CHAIN_DIGEST
 
-    def test_closed_simulation_key_byte_identical_to_pre_serving_tree(self):
-        # the key was pinned while the array kernel was the default engine
-        digest = content_digest(_chain(n_jobs=48, replication=2))
+    def test_closed_simulation_key_byte_identical_to_the_engine_axis_tree(self):
+        closed = _chain(n_jobs=48, replication=2)
         assert simulation_key(
-            arch_key(ARCH64), digest, True, 2, engine="array"
+            arch_key(ARCH64), content_digest(closed), True, 2
         ) == PINNED_SIMULATION_KEY
-        assert simulation_key(arch_key(ARCH64), digest, True, 2) == (
-            simulation_key(arch_key(ARCH64), digest, True, 2, engine="table")
-        )
+
+    def test_open_simulation_key_byte_identical_to_the_engine_axis_tree(self):
+        closed = _chain(n_jobs=48, replication=2)
+        opened = closed.with_arrivals(DeterministicArrivals(300).generate(48))
+        assert simulation_key(
+            arch_key(ARCH64), content_digest(opened), True, 2,
+            arrivals=opened.arrival_cycles,
+        ) == PINNED_OPEN_SIMULATION_KEY
 
     def test_open_digest_differs_and_depends_on_schedule(self):
         closed = _chain(n_jobs=48, replication=2)

@@ -9,24 +9,24 @@ alone:
 
 * opcode scheduling/deferral semantics and FIFO interleaving with
   callables;
-* mid-batch ``max_events`` truncation with in-order resume, the
-  exception-safe tail requeue, ``until`` bounds and non-re-entrancy;
+* the exception-safe tail requeue and non-re-entrancy;
 * row storage: free-list recycling and post-run :meth:`TableEngine.reset`;
 * the object primitives (``Server``/``CreditStore``) running unchanged;
-* the ``engine`` axis: two registered engines, everything else — the
-  retired ``"array"`` included — rejected at every entry point.
+* a run that drains with unfinished stages raising on either engine;
+* the ``engine`` argument: two registered engines, everything else
+  rejected by ``simulate``/``SystemSimulator`` (before any fast-forward
+  probe), and no engine option at the scenario layer.
 """
 
 import json
 
 import pytest
 
-from repro.scenarios.fingerprint import simulation_key
 from repro.sim import CreditStore, Engine, Server, simulate
 from repro.sim.engine import SimulationError
 from repro.sim.engine_table import TableEngine
-from repro.sim.steady_state import fast_forward_simulate
 from repro.sim.system import SIMULATION_ENGINES, SystemSimulator
+from repro.sim.workload import DataFlow, StageCost, StageDescriptor, Workload
 
 from test_sim_fast_forward import ARCH64, _chain
 
@@ -137,21 +137,10 @@ class TestTableEngine:
         engine = TableEngine()
         engine.set_handlers((lambda arg: seen.append(engine.now),))
         engine.defer_op(4, 0, 0, None)
-        engine.at(9, lambda: None)
-        engine.run(until=4)
-        assert seen == [4]
-        assert engine.now == 4
-
-    def test_max_events_truncates_between_op_rows_and_resumes_in_order(self):
-        log = []
-        engine = _engine(log)
-        for tag in ("a", "b", "c"):
-            engine.sched_op(4, 0, tag)
-        engine.run(max_events=2)  # bounded: row-by-row dispatch
-        assert log == ["a", "b"]
-        engine.run()  # the unbounded inlined loop resumes mid-bucket
-        assert log == ["a", "b", "c"]
-        assert engine.now == 4
+        engine.at(9, lambda: seen.append(engine.now))
+        engine.run()
+        assert seen == [4, 9]
+        assert engine.events_processed == 3
 
     def test_handler_exception_requeues_the_unprocessed_tail(self):
         log = []
@@ -168,6 +157,42 @@ class TestTableEngine:
         engine.run()
         assert log == ["survivor"]
 
+    def test_callable_exception_requeues_rows_in_order(self):
+        """Rows re-queued behind a failing callable resume in FIFO order."""
+        log = []
+        engine = _engine(log)
+
+        def boom():
+            raise RuntimeError("boom")
+
+        engine.defer_op(7, 0, 0, "r1")
+        engine.defer_op(7, 0, 0, "r2")
+        engine.at(7, lambda: log.append("c1"))
+        engine.at(7, boom)
+        engine.at(9, lambda: log.append("late"))
+        with pytest.raises(RuntimeError, match="boom"):
+            engine.run()
+        # both zero-cycle rows re-queued themselves behind the failed
+        # callable: they are the unprocessed tail of the t=7 batch
+        assert log == ["c1"]
+        assert engine.now == 7
+        assert not engine.empty()
+        engine.run()
+        assert log == ["c1", "r1", "r2", "late"]
+        assert engine.now == 9
+
+    def test_back_to_back_runs_keep_consistent_clock(self):
+        log = []
+        engine = _engine(log)
+        engine.defer_op(3, 4, 0, "first")
+        assert engine.run() == 7
+        assert engine.run() == 7  # drained: no clock move
+        # a deferral scheduled between runs counts from the current clock
+        engine.defer_op(engine.now, 5, 0, "second")
+        assert engine.run() == 12
+        assert log == ["first", "second"]
+        assert engine.events_processed == 4
+
     def test_reset_with_pending_events_raises(self):
         """A reset must never orphan a live row index sitting in a bucket."""
         engine = _engine([])
@@ -177,47 +202,30 @@ class TestTableEngine:
         engine.run()
         engine.reset()  # drained: now legal
 
-
-# --------------------------------------------------------------------------- #
-# Bounded and re-entrant runs
-# --------------------------------------------------------------------------- #
-class TestBoundedRuns:
-    def test_max_events_truncates_between_rows_and_resumes_in_order(self):
-        """Mirrors the object kernel's mid-batch truncation contract."""
+    def test_reset_refused_until_a_failed_run_is_drained(self):
         log = []
-        engine = _engine(log)
-        engine.defer_op(7, 0, 0, "r1")
-        engine.defer_op(7, 0, 0, "r2")
-        engine.at(7, lambda: log.append("c1"))
-        engine.at(9, lambda: log.append("late"))
-        engine.run(max_events=2)
-        # two of the three t=7 entries dispatched; the rows re-queued
-        # themselves behind the unprocessed tail
-        assert engine.now == 7
-        assert not engine.empty()
-        engine.run()
-        assert log == ["c1", "r1", "r2", "late"]
-        assert engine.now == 9
+        engine = TableEngine()
 
-    def test_max_events_counts_rows_as_events(self):
-        log = []
-        engine = _engine(log)
-        for i in range(4):
-            engine.defer_op(1, 10, 0, i)
-        engine.run(max_events=3)
-        assert engine.now == 1
-        assert log == []  # rows dispatched, handlers land at t=11
-        engine.run()
-        assert log == [0, 1, 2, 3]
+        def boom(arg):
+            raise RuntimeError(arg)
 
-    def test_until_bound_matches_object_engine(self):
-        for engine in (TableEngine(), Engine()):
-            engine.at(100, lambda: None)
-            assert engine.run(until=50) == 50
-            assert engine.run(until=40) == 50  # stale bound: no rewind
+        engine.set_handlers((lambda arg: log.append(arg), boom))
+        engine.sched_op(2, 1, "kaboom")
+        engine.defer_op(2, 3, 0, "tail")
+        with pytest.raises(RuntimeError, match="kaboom"):
             engine.run()
-            assert engine.now == 100
+        # the requeued tail still holds a live row: compaction must wait
+        with pytest.raises(SimulationError, match="pending"):
+            engine.reset()
+        assert engine.run() == 5
+        assert log == ["tail"]
+        engine.reset()
 
+
+# --------------------------------------------------------------------------- #
+# Re-entrant runs
+# --------------------------------------------------------------------------- #
+class TestReentrantRuns:
     def test_reentrant_run_raises(self):
         engine = TableEngine()
         errors = []
@@ -308,23 +316,35 @@ class TestDropIn:
         assert done == [10, 20]
         assert server.jobs_served == 2
 
+    def test_full_run_matches_object_engine(self):
+        """The same callable schedule runs identically on both engines."""
+
+        def drive(engine):
+            trace = []
+
+            def outer(tag):
+                trace.append((engine.now, tag))
+                engine.after(0, lambda: trace.append((engine.now, f"{tag}-0")))
+                engine.after(3, lambda: trace.append((engine.now, f"{tag}-3")))
+
+            engine.at(100, lambda: trace.append((engine.now, "late")))
+            for time, tag in ((5, "a"), (5, "b"), (8, "c"), (2, "d")):
+                engine.at(time, lambda t=tag: outer(t))
+            final = engine.run()
+            return trace, final, engine.events_processed
+
+        assert drive(TableEngine()) == drive(Engine())
+
     def test_uses_slots(self):
         assert not hasattr(TableEngine(), "__dict__")
 
 
 # --------------------------------------------------------------------------- #
-# The engine axis: two distinct, separately-keyed values
+# The engine axis: two entry points, two values
 # --------------------------------------------------------------------------- #
 class TestEngineAxis:
     def test_table_is_a_registered_engine(self):
         assert SIMULATION_ENGINES == ("python", "table")
-
-    def test_each_engine_keys_separately(self):
-        keys = {
-            simulation_key("a", "w", True, 2, engine=engine)
-            for engine in SIMULATION_ENGINES
-        }
-        assert len(keys) == len(SIMULATION_ENGINES)
 
     def test_unknown_engine_rejected(self):
         workload = _chain(n_jobs=4)
@@ -338,34 +358,70 @@ class TestEngineAxis:
 
     def test_fast_forward_rejects_the_retired_engine(self):
         with pytest.raises(ValueError, match=r"'array'.*'python', 'table'"):
-            fast_forward_simulate(ARCH64, _chain(n_jobs=64), engine="array")
+            simulate(ARCH64, _chain(n_jobs=64), fast_forward=True, engine="array")
 
-    def test_simulation_stage_rejects_the_retired_engine(self):
-        from repro.scenarios import simulation_stage
+    def test_unknown_engine_rejected_before_the_fast_forward_probe(self):
+        """The probe always runs the table lane, so only the up-front check
+        stands between a bad name and an engaged fast-forward."""
+        workload = _chain(n_jobs=96, replication=2)
+        assert simulate(ARCH64, workload, fast_forward=True).fast_forwarded
+        with pytest.raises(ValueError, match="unknown simulation engine 'bogus'"):
+            simulate(ARCH64, workload, engine="bogus", fast_forward=True)
 
-        with pytest.raises(ValueError, match=r"'array'.*'python', 'table'"):
-            simulation_stage(ARCH64, _chain(n_jobs=4), engine="array")
-
-    def test_cli_engine_option_rejects_the_retired_engine(self, tmp_path, capsys):
+    def test_cli_engine_option_is_rejected(self, tmp_path, capsys):
         from repro.scenarios.cli import main as cli_main
 
         spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"name": "retired", "base": {"model": "tiny_cnn"}}))
+        spec.write_text(json.dumps({"name": "no-engine", "base": {"model": "tiny_cnn"}}))
         with pytest.raises(SystemExit) as exit_info:
-            cli_main([str(spec), "--engine", "array", "--no-store"])
+            cli_main([str(spec), "--engine", "python", "--no-store"])
         assert exit_info.value.code == 2
-        error = capsys.readouterr().err
-        assert "'array'" in error and "'python', 'table'" in error
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err
 
-    def test_spec_file_engine_rejects_the_retired_engine(self, tmp_path, capsys):
+    def test_spec_file_engine_field_is_rejected(self, tmp_path, capsys):
         from repro.scenarios.cli import main as cli_main
 
         spec = tmp_path / "spec.json"
         spec.write_text(
             json.dumps(
-                {"name": "retired", "base": {"model": "tiny_cnn", "engine": "array"}}
+                {"name": "no-engine", "base": {"model": "tiny_cnn", "engine": "python"}}
             )
         )
         assert cli_main([str(spec), "--no-store"]) == 2
         error = capsys.readouterr().err
-        assert "'array'" in error and "'python', 'table'" in error
+        assert "unknown scenario field(s) in [base]: engine" in error
+
+
+# --------------------------------------------------------------------------- #
+# Incomplete runs
+# --------------------------------------------------------------------------- #
+def _dangling_workload():
+    """Stage 1 waits on stage 0, which never sends it anything."""
+    cost = StageCost(analog_cycles_per_job=10, analog_macs_per_job=1)
+    source = StageDescriptor(
+        stage_id=0,
+        name="source",
+        analog_replicas=((0,),),
+        cost=cost,
+        inputs=(DataFlow("hbm", 64, label="in"),),
+        outputs=(DataFlow("hbm", 64, label="out"),),
+    )
+    starved = StageDescriptor(
+        stage_id=1,
+        name="starved",
+        analog_replicas=((1,),),
+        cost=cost,
+        inputs=(DataFlow("stage", 64, stage_id=0),),
+        outputs=(DataFlow("hbm", 64, label="out"),),
+    )
+    return Workload("dangling", [source, starved], n_jobs=4, batch_size=4,
+                    tiles_per_image=1)
+
+
+class TestIncompleteRuns:
+    @pytest.mark.parametrize("engine", SIMULATION_ENGINES)
+    def test_incomplete_run_raises(self, engine):
+        """A run that drains with unfinished stages is always an error."""
+        simulator = SystemSimulator(ARCH64, _dangling_workload(), engine=engine)
+        with pytest.raises(SimulationError, match=r"incomplete stages: \{1: 0\}"):
+            simulator.run()

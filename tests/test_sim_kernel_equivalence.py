@@ -20,9 +20,9 @@ Three layers of coverage:
   costs, byte sizes, replication widths, storage flows, buffer depths and
   contention drawn from a fixed-seed RNG, so a kernel divergence on an
   unanticipated shape shows up here first (and reproducibly);
-* the fast-forward path on top of the table lane, whose probes run
-  shortened copies of the workload, against its own full run and against
-  the object kernel's.
+* the fast-forward, whose probes always run shortened copies of the
+  workload on the table lane, against its own full run and against the
+  object kernel's.
 """
 
 import inspect
@@ -297,7 +297,7 @@ class TestOpenWorkloadEquivalence:
 
 
 # --------------------------------------------------------------------------- #
-# Bounded runs: the fast-forward probe on top of the table lane
+# The fast-forward (its probe always runs the table lane) vs full runs
 # --------------------------------------------------------------------------- #
 class TestBoundedRunEquivalence:
     @pytest.mark.parametrize(
@@ -349,58 +349,56 @@ class TestBoundedRunEquivalence:
         mismatches = result_mismatches(full, ff, ignore_provenance=True)
         assert mismatches == [], f"seed {seed}: {mismatches}"
 
-    def test_contention_free_fast_forward_identical_across_kernels(self):
+    def test_contention_free_fast_forward_matches_the_object_kernel_full_run(self):
         workload = _chain(n_jobs=96, replication=3)
-        python = simulate(
-            ARCH64, workload, model_contention=False, fast_forward=True,
+        full = simulate(ARCH64, workload, model_contention=False, engine="python")
+        ff = simulate(ARCH64, workload, model_contention=False, fast_forward=True)
+        assert ff.fast_forwarded
+        assert result_mismatches(full, ff, ignore_provenance=True) == []
+
+    def test_fast_forwarded_payload_matches_the_object_kernel_full_run(self):
+        """An extrapolated result persists to the full run's payload, save
+        for the provenance flag."""
+        workload = _chain(n_jobs=96, storage=True)
+        full = simulate(ARCH64, workload, engine="python")
+        ff = simulate(ARCH64, workload, fast_forward=True)
+        assert ff.fast_forwarded
+        assert result_mismatches(full, ff, ignore_provenance=True) == []
+        full_payload = full.to_payload()
+        ff_payload = ff.to_payload()
+        assert ff_payload.pop("fast_forwarded") and not full_payload.pop("fast_forwarded")
+        assert type(full_payload.pop("tracer")) is type(ff_payload.pop("tracer"))
+        assert full_payload == ff_payload
+
+    def test_fast_forward_matches_the_object_kernel_full_run(self):
+        workload = _chain(n_jobs=96, replication=2)
+        full = simulate(ARCH64, workload, engine="python")
+        ff = simulate(ARCH64, workload, fast_forward=True)
+        assert ff.fast_forwarded
+        assert result_mismatches(full, ff, ignore_provenance=True) == []
+
+    def test_the_probe_runs_the_table_lane_and_a_fallback_the_requested_engine(
+        self, monkeypatch
+    ):
+        """``engine`` only selects the kernel of a full run: an engaged
+        fast-forward never builds the object kernel, a refused one runs it."""
+        engines = _record_simulator_engines(monkeypatch)
+        engaged = simulate(
+            ARCH64, _chain(n_jobs=96, replication=2), fast_forward=True,
             engine="python",
         )
-        table = simulate(
-            ARCH64, workload, model_contention=False, fast_forward=True,
-            engine="table",
-        )
-        assert python.fast_forwarded and table.fast_forwarded
-        assert result_mismatches(python, table) == []
-
-    def test_fast_forwarded_payloads_identical_across_kernels(self):
-        """An extrapolated result persists to the same payload on both."""
-        workload = _chain(n_jobs=96, storage=True)
-        python = simulate(ARCH64, workload, fast_forward=True, engine="python")
-        table = simulate(ARCH64, workload, fast_forward=True, engine="table")
-        assert python.fast_forwarded and table.fast_forwarded
-        python_payload = python.to_payload()
-        table_payload = table.to_payload()
-        assert result_mismatches(python, table) == []
-        assert type(python_payload.pop("tracer")) is type(table_payload.pop("tracer"))
-        assert python_payload == table_payload
-
-    def test_fast_forward_identical_across_kernels(self):
-        workload = _chain(n_jobs=96, replication=2)
-        python = simulate(ARCH64, workload, fast_forward=True, engine="python")
-        table = simulate(ARCH64, workload, fast_forward=True, engine="table")
-        assert python.fast_forwarded and table.fast_forwarded
-        assert result_mismatches(python, table) == []
+        assert engaged.fast_forwarded
+        assert engines and set(engines) == {"table"}
+        engines.clear()
+        refused = simulate(ARCH64, _chain(n_jobs=8), fast_forward=True, engine="python")
+        assert refused.fast_forward_refusal is not None
+        assert engines[-1] == "python"
 
 
 # --------------------------------------------------------------------------- #
-# Cache keying of the engine axis
+# Cache keying of the arrivals axis
 # --------------------------------------------------------------------------- #
-class TestEngineCacheKey:
-    def test_engines_key_separately(self):
-        base = simulation_key("a", "w", True, 2, engine="python")
-        assert simulation_key("a", "w", True, 2, engine="table") != base
-        assert simulation_key("a", "w", True, 2) == simulation_key(
-            "a", "w", True, 2, engine="table"
-        )
-
-    def test_engine_and_fast_forward_axes_are_independent(self):
-        keys = {
-            simulation_key("a", "w", True, 2, fast_forward=ff, engine=engine)
-            for ff in (False, True)
-            for engine in ("python", "table")
-        }
-        assert len(keys) == 4
-
+class TestSimulationCacheKey:
     def test_arrivals_axis_keys_separately(self):
         base = simulation_key("a", "w", True, 2)
         assert simulation_key("a", "w", True, 2, arrivals=None) == base
@@ -411,7 +409,7 @@ class TestEngineCacheKey:
 
 
 # --------------------------------------------------------------------------- #
-# The default engine: one constant, read by every layer
+# The default engine: one constant, and only two entry points take an engine
 # --------------------------------------------------------------------------- #
 class TestDefaultEngine:
     def test_default_is_the_table_lane(self):
@@ -419,21 +417,33 @@ class TestDefaultEngine:
         assert DEFAULT_ENGINE in SIMULATION_ENGINES
 
     def test_every_layer_defaults_to_it(self):
-        from repro.scenarios import Scenario, simulation_stage
-        from repro.sim import SystemSimulator, fast_forward_simulate
+        from repro.sim import SystemSimulator
 
-        assert Scenario().engine == DEFAULT_ENGINE
-        for function in (
-            simulate,
-            SystemSimulator,
-            simulation_stage,
-            simulation_key,
-            fast_forward_simulate,
-        ):
+        for function in (simulate, SystemSimulator):
             default = inspect.signature(function).parameters["engine"].default
             assert default == DEFAULT_ENGINE, function.__name__
 
-    def test_cli_runs_the_default_engine(self, tmp_path):
+    def test_only_the_simulator_entry_points_take_an_engine(self):
+        from repro.scenarios import Scenario, simulation_stage
+        from repro.sim import fast_forward_simulate
+
+        for function in (Scenario, simulation_stage, simulation_key, fast_forward_simulate):
+            assert "engine" not in inspect.signature(function).parameters, (
+                function.__name__
+            )
+
+    def test_simulation_stage_matches_the_object_kernel_full_run(self):
+        """The scenario layer, which takes no engine, reproduces the golden
+        reference."""
+        from repro.scenarios import simulation_stage
+
+        workload = _chain(n_jobs=24, replication=2, storage=True)
+        assert result_mismatches(
+            simulate(ARCH64, workload, engine="python"),
+            simulation_stage(ARCH64, workload),
+        ) == []
+
+    def test_cli_runs_the_default_engine(self, tmp_path, monkeypatch):
         from repro.scenarios.cli import main as cli_main
 
         spec = tmp_path / "spec.json"
@@ -451,7 +461,28 @@ class TestDefaultEngine:
                 }
             )
         )
+        engines = _record_simulator_engines(monkeypatch)
         out = tmp_path / "out.json"
         assert cli_main([str(spec), "--json", str(out), "--no-store"]) == 0
+        assert engines == [DEFAULT_ENGINE]
         (outcome,) = json.loads(out.read_text())["outcomes"]
-        assert outcome["scenario"]["engine"] == DEFAULT_ENGINE
+        assert "engine" not in outcome["scenario"]
+
+
+def _record_simulator_engines(monkeypatch):
+    """Record the ``engine`` of every :class:`SystemSimulator` built from
+    here on (probe simulators included) into the returned list."""
+    from repro.sim import SystemSimulator
+
+    engines = []
+    build = SystemSimulator.__init__
+
+    def recording_init(
+        self, arch, workload, model_contention=True, buffer_depth=2,
+        engine=DEFAULT_ENGINE,
+    ):
+        engines.append(engine)
+        build(self, arch, workload, model_contention, buffer_depth, engine)
+
+    monkeypatch.setattr(SystemSimulator, "__init__", recording_init)
+    return engines
