@@ -14,9 +14,9 @@ once, before the first event, into integer transition state consumed by
   :class:`_Group` records (size, count, DMA duration, serialization,
   HBM extra, delivery attribution — every per-transfer quantity the
   object kernel recomputes or memo-looks-up per event);
-* NoC links and HBM channels become dense vectors (busy-until, busy
-  cycles, channel queues) updated by indexed arithmetic inside the
-  opcode handlers.
+* NoC links (busy-until, busy cycles) and HBM channels (busy flag,
+  FIFO queue, busy-until) become dense vectors updated by indexed
+  arithmetic inside the opcode handlers.
 
 The **legality rule** for compiling a step: a resource or lifecycle step
 may be table-compiled only when its *successor and timing are fully
@@ -32,19 +32,38 @@ unchanged: the external HBM feeds (their fetch → grant → deliver
 recursion is re-entrant through the credit queue, so the credit waiter
 queues hold *either* packed ints or callables).
 
-Equivalence contract: every event this program schedules lands at the
+Equivalence contract: every row with an observable effect lands at the
 same simulated time, in the same bucket insertion position, as the
 object kernel's equivalent event — the compiled handlers replicate its
 synchronous callback chains (server ``on_done``-then-dequeue order,
 credit FIFO grants, barrier arrivals, the ``written``-then-relay order
-of storage flows) statement for statement.  Tracer state that the
-fast-forward prober must see mid-run (aggregate counters, live
-:class:`~repro.sim.tracer.StageActivity`, stage completions) stays on
-the tracer; per-cluster and per-link activity accumulate in dense arrays
-and materialise into the tracer in first-touch order at
-:meth:`finalize` (:meth:`TableProgram.snapshot_activity` reads the dense
-form mid-run for the fast-forward probe).  Bit-identity against the
-object kernel is asserted by ``tests/test_sim_kernel_equivalence.py``.
+of storage flows) statement for statement.  A row may be omitted only
+when a later row of the same flow dominates its effects.  Three
+compile-time fusions of the communication chain use that freedom:
+
+* **burst DMA row** — the chunks of a group that find a free DMA channel
+  at issue all enter the NoC at ``now + dma_dur``; their rows would sit
+  adjacent in one bucket (handlers only append), so one
+  ``OP_NOC_BURST`` row runs the ``noc_start`` body once per chunk;
+* **barrier-free HBM join** — a channel's finish is known at submit
+  (``max(now, busy_until) + cycles``); when it is no earlier than the
+  links' drain, the channel's completion row is the join's last arrival
+  and the links' ``OP_HBM_ARRIVE`` row, a bare count-down, is dropped;
+* **last-chunk-only landing** — under contention the chunks of one
+  (flow, job) share a FIFO route (and, for HBM routes, the single
+  channel), so a chunk that is not the last to enter the NoC lands
+  strictly before the last one: it adds its delivery cycles and counts
+  down at NoC entry and schedules no landing.  It does so only when its
+  destination is already in the first-touch order.
+
+Tracer state that the fast-forward prober must see mid-run (aggregate
+counters, live :class:`~repro.sim.tracer.StageActivity`, stage
+completions) stays on the tracer; per-cluster and per-link activity
+accumulate in dense arrays and materialise into the tracer in
+first-touch order at :meth:`finalize`
+(:meth:`TableProgram.snapshot_activity` reads the dense form mid-run for
+the fast-forward probe).  Bit-identity against the object kernel is
+asserted by ``tests/test_sim_kernel_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -63,11 +82,12 @@ from .workload import ENDPOINT_HBM, ENDPOINT_STAGE, ENDPOINT_STORAGE
 #: registers the handlers).
 OP_ANALOG_DONE = 0  # arg: stage_slot * n_jobs + job
 OP_DIGITAL_DONE = 1  # arg: stage_slot * n_jobs + job
-OP_NOC_START = 2  # arg: group_id * n_jobs + job (DMA done)
+OP_NOC_START = 2  # arg: group_id * n_jobs + job (one chunk's DMA done)
 OP_CHUNK_LANDED = 3  # arg: group_id * n_jobs + job
 OP_FLOW_NULL = 4  # arg: flow_id * n_jobs + job (zero-byte send)
-OP_HBM_ARRIVE = 5  # arg: [pending, hop, target] barrier cell
-OP_CHAN_DONE = 6  # arg: (channel, barrier cell)
+OP_HBM_ARRIVE = 5  # arg: [2, hop, target] cell (links drain after the channel)
+OP_CHAN_DONE = 6  # arg: (channel, [pending, hop, target] cell or None)
+OP_NOC_BURST = 7  # arg: (group_id * n_jobs + job) * dma_channels + count - 1
 
 #: flow kinds.
 F_DIRECT = 0  # producer stage -> consumer stage (credit-gated)
@@ -161,6 +181,8 @@ class _Flow:
         "total_chunks",
         "zero",
         "pending",
+        "fold",
+        "unstarted",
     )
 
     def __init__(self, fid, kind, src, producer, consumer, flow_index):
@@ -176,6 +198,12 @@ class _Flow:
         self.zero = False
         #: per-job count of chunks still in flight.
         self.pending: List[int] = []
+        #: whether chunks that are not the last to enter the NoC may skip
+        #: their landing row (the last-chunk-only rule, see _op_noc_start).
+        self.fold = False
+        #: per-job count of chunks that have not entered the NoC yet
+        #: (maintained only when ``fold``).
+        self.unstarted: List[int] = []
 
 
 class _CompiledStage:
@@ -259,11 +287,13 @@ class TableProgram:
         self._link_seen: List[bool] = []
         self._link_order: List[int] = []
         self._plans: Dict[Optional[int], Dict[Optional[int], _Plan]] = {}
-        # dense HBM channels (capacity-1 FIFO servers)
+        # dense HBM channels (capacity-1 FIFO servers): the busy flag and
+        # queue are event-time state the round-robin pick reads; the
+        # busy-until cycle is every submitted job's finish, known at submit
         n_chan = sim.arch.hbm.n_channels
         self._chan_busy = [0] * n_chan
         self._chan_queue: List[deque] = [deque() for __ in range(n_chan)]
-        self._chan_busy_cycles = [0] * n_chan
+        self._chan_until = [0] * n_chan
         self._hbm_next = 0
         # per-cluster DMA channel free-at heaps
         self._dma_slots: Dict[int, List[int]] = {}
@@ -402,6 +432,7 @@ class TableProgram:
                 self._op_flow_null,
                 self._op_hbm_arrive,
                 self._op_chan_done,
+                self._op_noc_burst,
             )
         )
         # external feeds (network IFM fetched from HBM), in stage order —
@@ -483,6 +514,15 @@ class TableProgram:
         flow.total_chunks = total
         plan = None if src == dst else self._plan(src, dst)
         hbm = self.arch.hbm
+        # last-chunk-only landings need FIFO order from NoC entry to
+        # landing: contended links, and at most one HBM channel to queue on
+        flow.fold = (
+            self.model_contention
+            and total > 1
+            and (plan is None or not plan.involves_hbm or hbm.n_channels == 1)
+        )
+        if flow.fold:
+            flow.unstarted = [0] * self._nj
         groups: List[_Group] = []
         for size, count in grouped:
             ser = 0
@@ -602,7 +642,9 @@ class TableProgram:
         digital, communication, synchronization, jobs, last_busy_cycle)``,
         per-stage 7-tuples ``(jobs_completed, analog_busy, digital_busy,
         input_stall, output_stall, first_job_start, last_job_end)`` and a
-        per-link busy-cycles dict.
+        per-link busy-cycles dict.  A chunk whose landing is folded into a
+        later one counts its delivery cycles at NoC entry, so a mid-run
+        snapshot can include delivery of chunks still in flight.
         """
         tracer = self.tracer
         counters = (
@@ -860,6 +902,8 @@ class TableProgram:
             engine.sched_op(engine._now, OP_FLOW_NULL, flow.fid * nj + job)
             return
         flow.pending[job] = flow.total_chunks
+        if flow.fold:
+            flow.unstarted[job] = flow.total_chunks
         src = flow.src
         if src is None:
             # HBM-sourced: no DMA, chunks enter the NoC synchronously
@@ -872,7 +916,6 @@ class TableProgram:
         if slots is None:
             slots = self._dma_slots[src] = [0] * self._dma_channels
         now = engine._now
-        sched_op = engine.sched_op
         defer_op = engine.defer_op
         heapreplace = heapq.heapreplace
         for group in flow.groups:
@@ -883,31 +926,67 @@ class TableProgram:
             # the slot vector is kept as a heap: only the minimum free-at
             # value is observable (channels are interchangeable), so the
             # earliest-free scan of the object kernel collapses to a peek
-            # plus a sift — identical burst timing.
-            for __ in range(count):
+            # plus a sift — identical burst timing.  Chunks that find a
+            # free channel come first (a taken channel is free only after
+            # ``now``) and all enter the NoC at ``now + dur``: their rows
+            # would be adjacent in one bucket, so one burst row runs them.
+            burst = 0
+            while burst < count and slots[0] <= now:
+                heapreplace(slots, now + dur)
+                burst += 1
+            if burst == 1:
+                engine.sched_op(now + dur, OP_NOC_START, arg)
+            elif burst:
+                engine.sched_op(
+                    now + dur, OP_NOC_BURST, arg * self._dma_channels + burst - 1
+                )
+            for __ in range(count - burst):
                 free_at = slots[0]
-                if free_at <= now:
-                    heapreplace(slots, now + dur)
-                    sched_op(now + dur, OP_NOC_START, arg)
-                else:
-                    heapreplace(slots, free_at + dur)
-                    defer_op(free_at, dur, OP_NOC_START, arg)
+                heapreplace(slots, free_at + dur)
+                defer_op(free_at, dur, OP_NOC_START, arg)
 
     def _op_flow_null(self, arg: int) -> None:
         fid = arg // self._nj
         self._complete_flow(self.flows[fid], arg - fid * self._nj)
 
+    def _op_noc_burst(self, arg: int) -> None:
+        """Several chunks of one group leave their DMA channels at once."""
+        arg, extra = divmod(arg, self._dma_channels)
+        noc_start = self._op_noc_start
+        for __ in range(extra + 1):
+            noc_start(arg)
+
     def _op_noc_start(self, arg: int) -> None:
-        """DMA serialisation done: the burst enters the NoC (transfer_bytes)."""
-        group = self.groups[arg // self._nj]
+        """DMA serialisation done: one chunk enters the NoC (transfer_bytes)."""
+        nj = self._nj
+        gid = arg // nj
+        group = self.groups[gid]
         tracer = self.tracer
         engine = self.engine
         plan = group.plan
         tracer.n_transfers += 1
+        land = True
+        flow = group.flow
+        if flow.fold:
+            job = arg - gid * nj
+            unstarted = flow.unstarted[job] - 1
+            flow.unstarted[job] = unstarted
+            dst = group.dst
+            if unstarted and (dst is None or self._cl_seen[dst]):
+                # last-chunk-only landing: a later chunk of this (flow,
+                # job) lands strictly later on the same FIFO route, so this
+                # chunk's landing only adds its delivery cycles and counts
+                # down — both done here — while its max-updates are
+                # dominated by the last landing
+                if dst is not None:
+                    self._cl_comm[dst] += group.comm_cycles
+                flow.pending[job] -= 1
+                land = False
         if plan is None:
             # local (same-cluster) handoff: no NoC involvement
             tracer.local_bytes += group.size
-            engine.sched_op(engine._now, OP_CHUNK_LANDED, arg)
+            if land:
+                engine.sched_op(engine._now, OP_CHUNK_LANDED, arg)
             return
         tracer.noc_bytes += group.size
         tracer.noc_byte_hops += group.byte_hops
@@ -934,11 +1013,8 @@ class TableProgram:
             if end > drain:
                 drain = end
         if plan.involves_hbm:
-            # 2-way barrier: links drained + HBM channel drained, then hop
-            pend = [2, plan.hop, arg]
-            engine.sched_op(drain, OP_HBM_ARRIVE, pend)
-            self._chan_submit(group.chan_cycles, pend)
-        else:
+            self._hbm_join(now, drain, plan.hop, group.chan_cycles, arg if land else None)
+        elif land:
             engine.defer_op(drain, plan.hop, OP_CHUNK_LANDED, arg)
 
     def _op_chunk_landed(self, arg: int) -> None:
@@ -980,8 +1056,10 @@ class TableProgram:
     def _pick_channel(self) -> int:
         """Round-robin over channels, preferring idle ones (exact mirror)."""
         busy = self._chan_busy
-        queues = self._chan_queue
         n = len(busy)
+        if n == 1:
+            return 0
+        queues = self._chan_queue
         start = self._hbm_next
         for offset in range(n):
             chan = (start + offset) % n
@@ -999,29 +1077,52 @@ class TableProgram:
         self._hbm_next = (start + 1) % n
         return best
 
-    def _chan_submit(self, duration: int, pend: list) -> None:
+    def _hbm_join(self, now: int, drain: int, hop: int, duration: int, target) -> None:
+        """Submit an HBM transfer's channel job; land ``target`` after the join.
+
+        The object kernel joins the route's links (drained at ``drain``)
+        and one channel job in a 2-way barrier, then lands ``hop`` cycles
+        later.  A channel is a capacity-1 FIFO with durations fixed at
+        submit, so the job finishes at ``max(now, busy_until) + duration``.
+        When that is no earlier than ``drain``, the channel's completion
+        row is the barrier's last arrival whether the channel was idle or
+        queued — it joins bucket ``chan_end`` after the links' arrival row,
+        which was inserted at ``now`` — so the links' row would only count
+        down, and is not scheduled.  ``target`` is ``None`` for a chunk
+        whose landing is folded into a later one: the channel job still
+        runs, and lands nothing.
+        """
         chan = self._pick_channel()
+        until = self._chan_until[chan]
+        chan_end = (until if until > now else now) + duration
+        self._chan_until[chan] = chan_end
+        engine = self.engine
+        if target is None:
+            pend = None
+        elif drain <= chan_end:
+            pend = [1, hop, target]
+        else:
+            pend = [2, hop, target]
+            engine.sched_op(drain, OP_HBM_ARRIVE, pend)
         if self._chan_busy[chan] == 0 and not self._chan_queue[chan]:
             self._chan_busy[chan] = 1
-            self._chan_busy_cycles[chan] += duration
-            engine = self.engine
-            engine.sched_op(engine._now + duration, OP_CHAN_DONE, (chan, pend))
+            engine.sched_op(chan_end, OP_CHAN_DONE, (chan, pend))
         else:
             self._chan_queue[chan].append((duration, pend))
 
     def _op_chan_done(self, arg: tuple) -> None:
         chan, pend = arg
-        self._chan_busy[chan] -= 1
-        # Server._finish: completion callback first, then dequeue
-        self._op_hbm_arrive(pend)
-        if self._chan_busy[chan] == 0:
-            queue = self._chan_queue[chan]
-            if queue:
-                duration, pend2 = queue.popleft()
-                self._chan_busy[chan] = 1
-                self._chan_busy_cycles[chan] += duration
-                engine = self.engine
-                engine.sched_op(engine._now + duration, OP_CHAN_DONE, (chan, pend2))
+        # Server._finish: completion callback first, then dequeue (the
+        # callback only schedules rows, so nothing joined the queue since)
+        if pend is not None:
+            self._op_hbm_arrive(pend)
+        queue = self._chan_queue[chan]
+        if queue:
+            duration, pend2 = queue.popleft()
+            engine = self.engine
+            engine.sched_op(engine._now + duration, OP_CHAN_DONE, (chan, pend2))
+        else:
+            self._chan_busy[chan] = 0
 
     def _op_hbm_arrive(self, pend: list) -> None:
         """Barrier.arrive of the links+channel join of one HBM transfer."""
@@ -1133,6 +1234,4 @@ class TableProgram:
             busy_until[lid] = end
             if end > drain:
                 drain = end
-        pend = [2, plan.hop, on_done]
-        engine.sched_op(drain, OP_HBM_ARRIVE, pend)
-        self._chan_submit(serialization + hbm_extra, pend)
+        self._hbm_join(now, drain, plan.hop, serialization + hbm_extra, on_done)

@@ -4,6 +4,8 @@ The gate compares the result line ``perfbench/run.py`` prints in a base
 checkout with the one it prints in the head: it must fail on an incorrect
 or aborted run, on more failed scenarios, and on a declared end-to-end
 metric worse than ``bound`` x the base value, and pass everything else.
+It also reports each side's ``results_digest`` from the runs' logs,
+without gating on it.
 """
 
 import importlib.util
@@ -214,3 +216,65 @@ class TestMain:
         assert perf_gate.main([str(tmp_path), str(path)]) == 0
         rows = capsys.readouterr().out.splitlines()
         assert len(rows) == len(benchmark["workloads"]) * len(names)
+
+
+def run_log(digest=None):
+    """A run's full output, shaped like what perfbench/run.py prints."""
+    lines = ["workload = ff_grid", "seed = 1"]
+    if digest is not None:
+        lines.append(f"results_digest = {digest}")
+    lines += ["cold_s = 4 s", json.dumps(result_line())]
+    return "\n".join(lines) + "\n"
+
+
+class TestDigests:
+    def test_digest_read_from_the_log(self, tmp_path):
+        path = tmp_path / "head-ff_grid.log"
+        path.write_text(run_log("ab" * 32))
+        assert perf_gate.load_digest(path) == "ab" * 32
+
+    def test_log_without_a_digest_or_no_log_reads_as_none(self, tmp_path):
+        path = tmp_path / "head-ff_grid.log"
+        path.write_text(run_log())
+        assert perf_gate.load_digest(path) is None
+        assert perf_gate.load_digest(tmp_path / "absent.log") is None
+
+    @pytest.mark.parametrize(
+        "base, head, verdict",
+        [
+            ("a" * 64, "a" * 64, "same"),
+            ("a" * 64, "b" * 64, "CHANGED"),
+            (None, "b" * 64, "CHANGED"),
+            ("a" * 64, None, "CHANGED"),
+        ],
+    )
+    def test_row_names_both_digests_and_the_verdict(self, base, head, verdict):
+        row = perf_gate.digest_row("ff_grid", base, head)
+        assert row.startswith("ff_grid ")
+        assert row.endswith(f"  {verdict}")
+        for digest in (base, head):
+            assert (digest[:16] if digest else "absent") in row
+
+    def test_no_row_when_neither_log_has_a_digest(self):
+        assert perf_gate.digest_row("ff_grid", None, None) is None
+
+    def test_changed_digest_is_reported_but_not_gated(self, tmp_path, capsys):
+        benchmark = write_runs(tmp_path)
+        (tmp_path / "base-ff_grid.log").write_text(run_log("a" * 64))
+        (tmp_path / "head-ff_grid.log").write_text(run_log("b" * 64))
+        (tmp_path / "base-paper_ladder.log").write_text(run_log("c" * 64))
+        (tmp_path / "head-paper_ladder.log").write_text(run_log("c" * 64))
+        assert perf_gate.main([str(tmp_path), str(benchmark)]) == 0
+        out = capsys.readouterr().out
+        assert "perf gate:" not in out
+        rows = [row for row in out.splitlines() if "results_digest" in row]
+        assert [row.split()[0] for row in rows] == ["paper_ladder", "ff_grid"]
+        assert rows[0].endswith("same") and rows[1].endswith("CHANGED")
+
+    def test_digest_row_does_not_rescue_a_failed_gate(self, tmp_path, capsys):
+        benchmark = write_runs(tmp_path, head_ff_grid=result_line(warm_s=0.7))
+        for side in ("base", "head"):
+            (tmp_path / f"{side}-ff_grid.log").write_text(run_log("a" * 64))
+        assert perf_gate.main([str(tmp_path), str(benchmark)]) == 1
+        out = capsys.readouterr().out
+        assert "results_digest" in out and "perf gate: ff_grid: warm_s 0.5 -> 0.7" in out

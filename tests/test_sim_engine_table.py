@@ -13,22 +13,32 @@ alone:
 * row storage: free-list recycling and post-run :meth:`TableEngine.reset`;
 * the object primitives (``Server``/``CreditStore``) running unchanged;
 * a run that drains with unfinished stages raising on either engine;
+* the communication fusions: the event count they save on real mappings,
+  and each fusion rule at the boundary where it must split or step aside;
 * the ``engine`` argument: two registered engines, everything else
   rejected by ``simulate``/``SystemSimulator`` (before any fast-forward
   probe), and no engine option at the scenario layer.
 """
 
+import dataclasses
 import json
+from collections import Counter
 
 import pytest
 
-from repro.sim import CreditStore, Engine, Server, simulate
+from repro.sim import CreditStore, Engine, Server, result_mismatches, simulate
 from repro.sim.engine import SimulationError
 from repro.sim.engine_table import TableEngine
 from repro.sim.system import SIMULATION_ENGINES, SystemSimulator
+from repro.sim.system_table import (
+    OP_CHUNK_LANDED,
+    OP_HBM_ARRIVE,
+    OP_NOC_BURST,
+    OP_NOC_START,
+)
 from repro.sim.workload import DataFlow, StageCost, StageDescriptor, Workload
 
-from test_sim_fast_forward import ARCH64, _chain
+from test_sim_fast_forward import ARCH64, _chain, _zoo_workload
 
 
 def _engine(log):
@@ -425,3 +435,135 @@ class TestIncompleteRuns:
         simulator = SystemSimulator(ARCH64, _dangling_workload(), engine=engine)
         with pytest.raises(SimulationError, match=r"incomplete stages: \{1: 0\}"):
             simulator.run()
+
+
+# --------------------------------------------------------------------------- #
+# Communication fusions: fewer rows, same answers
+# --------------------------------------------------------------------------- #
+#: ``events_processed`` of the table lane before the communication chain
+#: was fused (one row per chunk for the DMA hand-off, the HBM join's two
+#: arrivals and every landing): resnet18 3x64x64 on 256 clusters, batch
+#: 64, contention on.
+UNFUSED_EVENTS = {"naive": 38144, "final": 34290}
+
+
+def _record_rows(monkeypatch):
+    """Record ``(op, arg)`` of every opcode row scheduled from here on."""
+    rows = []
+    sched_op = TableEngine.sched_op
+    defer_op = TableEngine.defer_op
+
+    def recording_sched_op(self, time, op, arg):
+        rows.append((op, arg))
+        sched_op(self, time, op, arg)
+
+    def recording_defer_op(self, time, cycles, op, arg):
+        rows.append((op, arg))
+        defer_op(self, time, cycles, op, arg)
+
+    monkeypatch.setattr(TableEngine, "sched_op", recording_sched_op)
+    monkeypatch.setattr(TableEngine, "defer_op", recording_defer_op)
+    return rows
+
+
+def _two_stage(n_chunks, n_jobs=4, n_bytes=4096):
+    """HBM -> stage 0 -> stage 1 -> HBM, ``n_bytes`` per job on every flow,
+    each stage-to-stage and write flow cut into ``n_chunks``."""
+    cost = StageCost(analog_cycles_per_job=50, analog_macs_per_job=1)
+    first = StageDescriptor(
+        stage_id=0,
+        name="first",
+        analog_replicas=((0,),),
+        cost=cost,
+        inputs=(DataFlow("hbm", n_bytes, label="in", transfers_per_job=n_chunks),),
+        outputs=(DataFlow("stage", n_bytes, stage_id=1, transfers_per_job=n_chunks),),
+    )
+    second = StageDescriptor(
+        stage_id=1,
+        name="second",
+        analog_replicas=((9,),),
+        cost=cost,
+        inputs=(DataFlow("stage", n_bytes, stage_id=0, transfers_per_job=n_chunks),),
+        outputs=(DataFlow("hbm", n_bytes, label="out", transfers_per_job=n_chunks),),
+    )
+    return Workload("two-stage", [first, second], n_jobs=n_jobs, batch_size=n_jobs,
+                    tiles_per_image=1)
+
+
+def _run_both(arch, workload):
+    """The table lane's result, asserted identical to the object kernel's."""
+    table = simulate(arch, workload, engine="table")
+    assert result_mismatches(simulate(arch, workload, engine="python"), table) == []
+    return table
+
+
+class TestCommunicationFusion:
+    @pytest.mark.parametrize("level", sorted(UNFUSED_EVENTS))
+    def test_fused_lane_runs_at_most_six_tenths_of_the_unfused_events(self, level):
+        arch, workload = _zoo_workload("resnet18", (3, 64, 64), level, 64, 256, None, 256)
+        simulator = SystemSimulator(arch, workload)
+        simulator.run()
+        assert simulator.engine.events_processed <= 0.6 * UNFUSED_EVENTS[level]
+
+    def test_burst_row_splits_when_the_dma_channels_run_out(self, monkeypatch):
+        """Four chunks on two DMA channels: the two that find a free channel
+        share one burst row, the other two wait for a channel each."""
+        arch = dataclasses.replace(
+            ARCH64, cluster=dataclasses.replace(ARCH64.cluster, dma_channels=2)
+        )
+        rows = _record_rows(monkeypatch)
+        _run_both(arch, _two_stage(n_chunks=4, n_jobs=1))
+        issued = [(op, arg) for op, arg in rows if op in (OP_NOC_BURST, OP_NOC_START)]
+        # stage 0 -> 1, then stage 1 -> HBM, each issued once: the burst row
+        # comes first, since a deferred chunk may join the burst's bucket
+        for flow_rows in (issued[:3], issued[3:]):
+            (burst_op, burst_arg), *deferred = flow_rows
+            assert burst_op == OP_NOC_BURST and burst_arg % 2 + 1 == 2
+            assert [op for op, __ in deferred] == [OP_NOC_START] * 2
+            assert {arg for __, arg in deferred} == {burst_arg // 2}
+        assert len(issued) == 6
+
+    @pytest.mark.parametrize(
+        "hbm_width,n_bytes,barriers",
+        [(64, 4096, 0), (65, 4095, 2 * 4)],
+        ids=["channel-drains-with-links", "links-drain-one-cycle-later"],
+    )
+    def test_hbm_join_keeps_the_barrier_only_when_the_links_drain_last(
+        self, monkeypatch, hbm_width, n_bytes, barriers
+    ):
+        """With no access latency, an HBM channel as wide as the 64-byte
+        links finishes each job in the cycle its links drain: the channel
+        arrives last and the links' arrival row is dropped.  One byte wider,
+        it finishes one cycle before the links, whose arrival row is then
+        the join's last and stays — one per HBM read and write, each job."""
+        arch = dataclasses.replace(
+            ARCH64,
+            hbm=dataclasses.replace(
+                ARCH64.hbm, access_latency_cycles=0, data_width_bytes=hbm_width
+            ),
+        )
+        rows = _record_rows(monkeypatch)
+        _run_both(arch, _two_stage(n_chunks=1, n_bytes=n_bytes))
+        assert sum(op == OP_HBM_ARRIVE for op, __ in rows) == barriers
+
+    def test_fold_refused_for_a_destination_not_yet_touched(self, monkeypatch):
+        """Job 0's chunks head for cluster 9 before anything touched it, so
+        each of them lands (the first landing puts cluster 9 in
+        ``tracer.clusters``); later jobs land only their last chunk."""
+        workload = _two_stage(n_chunks=3)
+        rows = _record_rows(monkeypatch)
+        simulator = SystemSimulator(ARCH64, workload)
+        result = simulator.run()
+        python = simulate(ARCH64, workload, engine="python")
+        assert result_mismatches(python, result) == []
+        nj = workload.n_jobs
+        landed = Counter(
+            (simulator._table.groups[arg // nj].flow.fid, arg % nj)
+            for op, arg in rows
+            if op == OP_CHUNK_LANDED
+        )
+        direct, write = simulator._table.flows
+        assert direct.fold and write.fold
+        assert [landed[direct.fid, job] for job in range(nj)] == [3, 1, 1, 1]
+        # the HBM write has no destination cluster: it always folds
+        assert [landed[write.fid, job] for job in range(nj)] == [1] * nj

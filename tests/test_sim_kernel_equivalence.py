@@ -10,12 +10,16 @@ runs through :func:`repro.sim.result_mismatches`, which enumerates every
 observable of a :class:`~repro.sim.SimulationResult` and reports the first
 divergence by name.
 
-Three layers of coverage:
+Four layers of coverage:
 
 * the synthetic pipelines and model-zoo mappings shared with the
   fast-forward suite (known shapes: replication, residual storage, HBM
   endpoints, periodic and non-periodic pipelines), also at non-default
   buffer depths and without contention;
+* the same shapes on architectures with more HBM channels or fewer DMA
+  channels than the default, where the table lane's communication
+  fusions (burst DMA rows, barrier-free HBM joins, last-chunk-only
+  landings) switch off or split;
 * a seeded randomized property sweep over small pipelines — stage counts,
   costs, byte sizes, replication widths, storage flows, buffer depths and
   contention drawn from a fixed-seed RNG, so a kernel divergence on an
@@ -25,6 +29,8 @@ Three layers of coverage:
   object kernel's.
 """
 
+import dataclasses
+import functools
 import inspect
 import json
 import random
@@ -137,6 +143,72 @@ class TestKnownShapesOffDefaults:
         python = simulate(arch, workload, model_contention=False, engine="python")
         table = simulate(arch, workload, model_contention=False, engine="table")
         assert_results_identical(python, table)
+
+
+# --------------------------------------------------------------------------- #
+# Resource counts: the communication fusions' off-switches
+# --------------------------------------------------------------------------- #
+def _with_channels(arch, hbm_channels: int, dma_channels: int):
+    """``arch`` with ``hbm_channels`` HBM channels and ``dma_channels`` DMA
+    channels per cluster."""
+    return dataclasses.replace(
+        arch,
+        hbm=dataclasses.replace(arch.hbm, n_channels=hbm_channels),
+        cluster=dataclasses.replace(arch.cluster, dma_channels=dma_channels),
+    )
+
+
+def _chunked(workload: Workload, n_chunks: int) -> Workload:
+    """``workload`` with every data flow split into ``n_chunks`` transfers."""
+    def split(flows):
+        return tuple(dataclasses.replace(f, transfers_per_job=n_chunks) for f in flows)
+
+    return dataclasses.replace(
+        workload,
+        stages=[
+            dataclasses.replace(st, inputs=split(st.inputs), outputs=split(st.outputs))
+            for st in workload.stages
+        ],
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _small_zoo(index: int):
+    """The two small zoo mappings (the resnet18 one is too slow here)."""
+    case = [case for case in ZOO if case[0] != "resnet18-naive"][index]
+    return _zoo_workload(*case[1:8])
+
+
+#: (hbm_channels, dma_channels): one HBM channel is the default and the
+#: only count under which chunk landings fold; 16 DMA channels is the
+#: default and 1 or 2 split most chunk groups' bursts.
+RESOURCES = [(hbm, dma) for hbm in (1, 2, 3) for dma in (1, 2, 16)]
+
+
+class TestResourceCountMatrix:
+    """Every (HBM channels, DMA channels, contention) point runs a rotating
+    slice of the known shapes: one synthetic pipeline, one small zoo
+    mapping and two random pipelines cut into several chunks per flow."""
+
+    @pytest.mark.parametrize("model_contention", [True, False], ids=["cont", "nocont"])
+    @pytest.mark.parametrize(
+        "hbm_channels,dma_channels", RESOURCES, ids=[f"hbm{h}-dma{d}" for h, d in RESOURCES]
+    )
+    def test_channel_counts_identical(self, hbm_channels, dma_channels, model_contention):
+        index = RESOURCES.index((hbm_channels, dma_channels)) * 2 + model_contention
+        name, synthetic, _ = SYNTHETIC[index % len(SYNTHETIC)]
+        zoo_arch, zoo = _small_zoo((index // 2 + index) % 2)
+        cases = [(name, ARCH64, synthetic), ("zoo", zoo_arch, zoo)]
+        for seed in (2 * index, 2 * index + 1):
+            rng = random.Random(3000 + seed)
+            workload = _chunked(_random_workload(rng), rng.choice([2, 3, 5]))
+            cases.append((f"random{seed}", ARCH64, workload))
+        for label, arch, workload in cases:
+            arch = _with_channels(arch, hbm_channels, dma_channels)
+            python = simulate(arch, workload, model_contention, engine="python")
+            table = simulate(arch, workload, model_contention, engine="table")
+            mismatches = result_mismatches(python, table)
+            assert mismatches == [], f"{label}: {mismatches}"
 
 
 # --------------------------------------------------------------------------- #

@@ -9,6 +9,11 @@ Usage::
 ``base-<workload>.json`` and ``head-<workload>.json``: each the last line
 ``perfbench/run.py --workload <workload>`` printed in that checkout.  An
 empty or missing file stands for a run that aborted before its result line.
+Beside them, ``<side>-<workload>.log`` may hold the run's full output:
+when either side's log has a ``results_digest = ...`` line, the gate
+prints the base and head digests and whether they are the same.  A
+changed digest means the simulated answers moved; it is reported for
+review, never gated on.
 
 The gate fails (exit 1) when
 
@@ -40,6 +45,28 @@ def load_result_line(path: Path) -> dict:
     except (OSError, ValueError):
         return {}
     return line if isinstance(line, dict) else {}
+
+
+def load_digest(path: Path) -> str | None:
+    """The ``results_digest`` a run's log printed, or ``None`` if it has none."""
+    try:
+        text = Path(path).read_text()
+    except OSError:
+        return None
+    prefix = "results_digest = "
+    for line in text.splitlines():
+        if line.startswith(prefix):
+            return line[len(prefix):].strip()
+    return None
+
+
+def digest_row(workload: str, base: str | None, head: str | None) -> str | None:
+    """The report row comparing two runs' digests (``None``: neither has one)."""
+    if base is None and head is None:
+        return None
+    verdict = "same" if base == head else "CHANGED"
+    old, new = (digest[:16] if digest else "absent" for digest in (base, head))
+    return f"{workload:12} {'results_digest':22} {old:>16} -> {new:>16}  {verdict}"
 
 
 def is_worse(metric: dict, old: float, new: float) -> bool:
@@ -89,6 +116,11 @@ def main(argv: list[str] | None = None) -> int:
     for workload in (entry["name"] for entry in benchmark["workloads"]):
         base, head = (load_result_line(runs / f"{side}-{workload}.json") for side in SIDES)
         rows, found = compare_workload(workload, base, head, benchmark["end_to_end"])
+        digests = digest_row(
+            workload, *(load_digest(runs / f"{side}-{workload}.log") for side in SIDES)
+        )
+        if digests is not None:
+            rows.append(digests)
         for row in rows:
             print(row)
         problems.extend(found)
