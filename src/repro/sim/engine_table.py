@@ -187,6 +187,10 @@ class TableEngine(Engine):
         counts as one event.  The dispatch is folded into the bucket walk:
         one jump-table call per row with no intermediate method dispatch,
         which is where a compiled run spends its remaining per-event time.
+        A bucket drains through a list iterator rather than by indexing
+        until ``IndexError``: the iterator re-reads the length at every
+        step, so same-cycle appends still run in order, and a drained
+        bucket costs no raised exception.
         """
         if self._running:
             raise SimulationError(
@@ -212,15 +216,10 @@ class TableEngine(Engine):
                 self._active = bucket
                 index = 0
                 try:
-                    # the batch may grow while it drains, so iterate by
-                    # index until it runs off the end.
-                    while True:
-                        try:
-                            entry = bucket[index]
-                        except IndexError:
-                            break
+                    # ``index`` counts the entries taken: the event count,
+                    # and the requeue point below
+                    for entry in bucket:
                         index += 1
-                        processed += 1
                         if type(entry) is not int:
                             entry()
                             continue
@@ -244,6 +243,7 @@ class TableEngine(Engine):
                         else:
                             nxt.append(entry)
                 finally:
+                    processed += index
                     self._active = None
                     if index < len(bucket):
                         # an event raised: requeue the unprocessed tail —

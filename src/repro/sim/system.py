@@ -66,7 +66,11 @@ from .workload import (
 #: v3 payloads of fast-forward scenarios cannot distinguish "ran full
 #: because refused" from "ran full because never attempted", so they are
 #: re-simulated once.
-SIMULATION_PAYLOAD_VERSION = 4
+#: Version 5: the table lane's DMA engines became exact FIFO servers.  A
+#: free-at heap had inserted a queued chunk's NoC entry at issue instead
+#: of when a channel frees, which could reorder two chunks leaving their
+#: DMA in one cycle; stored results of such workloads are stale.
+SIMULATION_PAYLOAD_VERSION = 5
 
 #: valid values of the ``engine`` argument of :func:`simulate` /
 #: :class:`SystemSimulator` — the only two entry points that take one: the

@@ -14,17 +14,18 @@ once, before the first event, into integer transition state consumed by
   :class:`_Group` records (size, count, DMA duration, serialization,
   HBM extra, delivery attribution — every per-transfer quantity the
   object kernel recomputes or memo-looks-up per event);
-* NoC links (busy-until, busy cycles) and HBM channels (busy flag,
-  FIFO queue, busy-until) become dense vectors updated by indexed
-  arithmetic inside the opcode handlers.
+* NoC links (busy-until, busy cycles), HBM channels (busy flag, FIFO
+  queue, busy-until) and per-cluster DMA engines (busy channels, FIFO
+  queue) become dense vectors updated by indexed arithmetic inside the
+  opcode handlers.
 
 The **legality rule** for compiling a step: a resource or lifecycle step
 may be table-compiled only when its *successor and timing are fully
 determined at schedule time* from integer state.  A capacity-1 FIFO link
 whose job durations are fixed at submission is exactly a busy-until
 scalar (a transfer drains at ``max(now, busy_until) + serialization``),
-and a multi-channel DMA engine is a heap of per-channel free-at cycles
-(a burst starts on the earliest-free channel); server finishes, credit
+and a multi-channel DMA engine is a busy count plus a FIFO that each
+DMA completion pops, as ``Server._finish`` does; server finishes, credit
 grants and their FIFO cascades, chunk fan-outs and HBM round-robin picks
 are all deterministic given event order.  Steps whose continuation is an
 arbitrary closure stay callbacks and ride the engine's callback lane
@@ -38,7 +39,7 @@ object kernel's equivalent event — the compiled handlers replicate its
 synchronous callback chains (server ``on_done``-then-dequeue order,
 credit FIFO grants, barrier arrivals, the ``written``-then-relay order
 of storage flows) statement for statement.  A row may be omitted only
-when a later row of the same flow dominates its effects.  Three
+when a later row of the same flow dominates its effects.  Four
 compile-time fusions of the communication chain use that freedom:
 
 * **burst DMA row** — the chunks of a group that find a free DMA channel
@@ -54,7 +55,13 @@ compile-time fusions of the communication chain use that freedom:
   channel), so a chunk that is not the last to enter the NoC lands
   strictly before the last one: it adds its delivery cycles and counts
   down at NoC entry and schedules no landing.  It does so only when its
-  destination is already in the first-touch order.
+  destination is already in the first-touch order;
+* **closed-form chunk run** — the chunks of a burst row, or of one group
+  of an HBM-sourced read, enter the NoC back to back in one handler, so
+  :meth:`TableProgram._enter_run` updates the route once for all of
+  them (``count`` FIFO services of ``ser >= 1`` cycles each move a
+  link's busy-until to ``max(until, now) + count * ser``) and emits the
+  rows of the per-chunk path in its order.
 
 Tracer state that the fast-forward prober must see mid-run (aggregate
 counters, live :class:`~repro.sim.tracer.StageActivity`, stage
@@ -68,7 +75,6 @@ asserted by ``tests/test_sim_kernel_equivalence.py``.
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import deque
 from typing import Dict, List, Optional, Tuple
@@ -136,6 +142,7 @@ class _Group:
     __slots__ = (
         "gid",
         "flow",
+        "src",
         "size",
         "count",
         "dma_dur",
@@ -152,6 +159,7 @@ class _Group:
     def __init__(self, gid, flow, size, count, dma_dur, comm_cycles, ser, hbm_extra, dst, plan):
         self.gid = gid
         self.flow = flow
+        self.src = flow.src
         self.size = size
         self.count = count
         self.dma_dur = dma_dur
@@ -295,8 +303,11 @@ class TableProgram:
         self._chan_queue: List[deque] = [deque() for __ in range(n_chan)]
         self._chan_until = [0] * n_chan
         self._hbm_next = 0
-        # per-cluster DMA channel free-at heaps
-        self._dma_slots: Dict[int, List[int]] = {}
+        # per-cluster DMA engines (capacity-``dma_channels`` FIFO servers):
+        # channels in service, and the queued chunks as (duration, arg) —
+        # the queue is created by the cluster's first send
+        self._dma_busy = [0] * n_clusters
+        self._dma_queue: List[Optional[deque]] = [None] * n_clusters
 
     # ------------------------------------------------------------------ #
     # Compilation
@@ -909,41 +920,38 @@ class TableProgram:
             # HBM-sourced: no DMA, chunks enter the NoC synchronously
             for group in flow.groups:
                 arg = group.gid * nj + job
-                for __ in range(group.count):
-                    self._op_noc_start(arg)
+                count = group.count
+                if count > 1 and self._enter_run(group, arg, count):
+                    continue
+                for __ in range(count):
+                    self._noc_entry(arg)
             return
-        slots = self._dma_slots.get(src)
-        if slots is None:
-            slots = self._dma_slots[src] = [0] * self._dma_channels
+        # Server.submit on the source's DMA engine, chunk by chunk: a chunk
+        # starts now if a channel is free and nobody queues, else it joins
+        # the FIFO, which each DMA completion pops (_dma_release).  Chunks
+        # that start now all enter the NoC at ``now + dur``: their rows
+        # would be adjacent in one bucket, so one burst row runs them.
         now = engine._now
-        defer_op = engine.defer_op
-        heapreplace = heapq.heapreplace
+        channels = self._dma_channels
+        busy = self._dma_busy
+        queue = self._dma_queue[src]
+        if queue is None:
+            queue = self._dma_queue[src] = deque()
         for group in flow.groups:
             dur = group.dma_dur
             count = group.count
             self._record_comm(src, dur * count, now + dur)
             arg = group.gid * nj + job
-            # the slot vector is kept as a heap: only the minimum free-at
-            # value is observable (channels are interchangeable), so the
-            # earliest-free scan of the object kernel collapses to a peek
-            # plus a sift — identical burst timing.  Chunks that find a
-            # free channel come first (a taken channel is free only after
-            # ``now``) and all enter the NoC at ``now + dur``: their rows
-            # would be adjacent in one bucket, so one burst row runs them.
             burst = 0
-            while burst < count and slots[0] <= now:
-                heapreplace(slots, now + dur)
-                burst += 1
+            if not queue:
+                burst = min(count, channels - busy[src])
+                busy[src] += burst
             if burst == 1:
                 engine.sched_op(now + dur, OP_NOC_START, arg)
             elif burst:
-                engine.sched_op(
-                    now + dur, OP_NOC_BURST, arg * self._dma_channels + burst - 1
-                )
-            for __ in range(count - burst):
-                free_at = slots[0]
-                heapreplace(slots, free_at + dur)
-                defer_op(free_at, dur, OP_NOC_START, arg)
+                engine.sched_op(now + dur, OP_NOC_BURST, arg * channels + burst - 1)
+            if burst < count:
+                queue.extend([(dur, arg)] * (count - burst))
 
     def _op_flow_null(self, arg: int) -> None:
         fid = arg // self._nj
@@ -952,12 +960,127 @@ class TableProgram:
     def _op_noc_burst(self, arg: int) -> None:
         """Several chunks of one group leave their DMA channels at once."""
         arg, extra = divmod(arg, self._dma_channels)
-        noc_start = self._op_noc_start
-        for __ in range(extra + 1):
-            noc_start(arg)
+        count = extra + 1
+        group = self.groups[arg // self._nj]
+        if self._enter_run(group, arg, count, group.src):
+            return
+        noc_entry = self._noc_entry
+        release = self._dma_release
+        for __ in range(count):
+            noc_entry(arg)
+            release(group.src)
 
     def _op_noc_start(self, arg: int) -> None:
-        """DMA serialisation done: one chunk enters the NoC (transfer_bytes)."""
+        """One chunk's DMA is done: it enters the NoC, then its channel
+        takes the next queued chunk (``Server._finish`` order)."""
+        self._noc_entry(arg)
+        self._dma_release(self.groups[arg // self._nj].src)
+
+    def _dma_release(self, src: int, n: int = 1) -> None:
+        """``n`` DMA channels of ``src`` finish in turn: each starts the
+        head of the FIFO.
+
+        The queue is non-empty only while every channel is busy, so a freed
+        channel either takes the head chunk, whose NoC entry row is
+        inserted now — where the object kernel's server inserts it — or
+        goes idle.
+        """
+        queue = self._dma_queue[src]
+        if queue:
+            engine = self.engine
+            now = engine._now
+            while n and queue:
+                dur, arg = queue.popleft()
+                engine.sched_op(now + dur, OP_NOC_START, arg)
+                n -= 1
+        self._dma_busy[src] -= n
+
+    def _enter_run(self, group: _Group, arg: int, count: int, src=None) -> bool:
+        """``count`` chunks of one (group, job) enter the NoC now, in closed form.
+
+        Does what ``count`` back-to-back :meth:`_noc_entry` calls do — with
+        a DMA release after each when ``src`` names the source's DMA
+        engine — in one pass over the route.  Each link is a capacity-1
+        FIFO whose service time ``ser >= 1`` is fixed at submit, so
+        ``count`` applications of ``x -> max(x, now) + ser`` give
+        ``max(x, now) + count * ser``.  The single HBM channel takes the
+        first ``count - 1`` jobs the same way and the last through
+        :meth:`_hbm_join`.  Every chunk but the last folds its landing (a
+        later chunk of the flow follows it on the same FIFO route), so the
+        rows come in the per-chunk order: the first job's channel
+        completion if the channel was idle, DMA releases 1 … count-1, the
+        last chunk's landing or HBM-arrival row, then the last release.
+
+        Returns ``False``, having done nothing, when the run is not
+        closed-form: the flow does not fold (contention off, or several
+        HBM channels), the chunks are a local handoff, or their
+        destination is not yet in the first-touch order (each chunk then
+        lands).
+        """
+        flow = group.flow
+        plan = group.plan
+        if not flow.fold or plan is None:
+            return False
+        dst = group.dst
+        if dst is not None and not self._cl_seen[dst]:
+            return False
+        job = arg - group.gid * self._nj
+        unstarted = flow.unstarted[job] - count
+        flow.unstarted[job] = unstarted
+        land = not unstarted
+        folded = count - 1 if land else count
+        if dst is not None:
+            self._cl_comm[dst] += group.comm_cycles * folded
+        flow.pending[job] -= folded
+        size = group.size * count
+        tracer = self.tracer
+        tracer.n_transfers += count
+        tracer.noc_bytes += size
+        tracer.noc_byte_hops += group.byte_hops * count
+        if not plan.touched:
+            self._touch_plan(plan)
+        engine = self.engine
+        now = engine._now
+        run = group.ser * count
+        link_busy = self._link_busy
+        busy_until = self._link_until
+        drain = now
+        for lid in plan.lids:
+            link_busy[lid] += run
+            queued = busy_until[lid]
+            end = (queued if queued > now else now) + run
+            busy_until[lid] = end
+            if end > drain:
+                drain = end
+        hbm = plan.involves_hbm
+        if hbm:
+            # a folding flow on an HBM route has a single channel; its
+            # first count - 1 jobs carry no landing
+            tracer.hbm_bytes += size
+            cycles = group.chan_cycles
+            until = self._chan_until[0]
+            start = until if until > now else now
+            self._chan_until[0] = start + (count - 1) * cycles
+            queue = self._chan_queue[0]
+            queued = count - 1
+            if self._chan_busy[0] == 0 and not queue:
+                self._chan_busy[0] = 1
+                engine.sched_op(start + cycles, OP_CHAN_DONE, (0, None))
+                queued -= 1
+            queue.extend([(cycles, None)] * queued)
+        if src is not None:
+            self._dma_release(src, count - 1)
+        # the last chunk, as _noc_entry ends
+        if hbm:
+            self._hbm_join(now, drain, plan.hop, cycles, arg if land else None)
+        elif land:
+            engine.defer_op(drain, plan.hop, OP_CHUNK_LANDED, arg)
+        if src is not None:
+            self._dma_release(src)
+        return True
+
+    def _noc_entry(self, arg: int) -> None:
+        """One chunk enters the NoC (transfer_bytes)."""
         nj = self._nj
         gid = arg // nj
         group = self.groups[gid]

@@ -15,6 +15,8 @@ alone:
 * a run that drains with unfinished stages raising on either engine;
 * the communication fusions: the event count they save on real mappings,
   and each fusion rule at the boundary where it must split or step aside;
+* closed-form chunk runs: how many chunks still take the per-chunk NoC
+  body on a real mapping, and each boundary where a run falls back;
 * the ``engine`` argument: two registered engines, everything else
   rejected by ``simulate``/``SystemSimulator`` (before any fast-forward
   probe), and no engine option at the scenario layer.
@@ -35,6 +37,7 @@ from repro.sim.system_table import (
     OP_HBM_ARRIVE,
     OP_NOC_BURST,
     OP_NOC_START,
+    TableProgram,
 )
 from repro.sim.workload import DataFlow, StageCost, StageDescriptor, Workload
 
@@ -490,11 +493,14 @@ def _two_stage(n_chunks, n_jobs=4, n_bytes=4096):
                     tiles_per_image=1)
 
 
-def _run_both(arch, workload):
-    """The table lane's result, asserted identical to the object kernel's."""
-    table = simulate(arch, workload, engine="table")
-    assert result_mismatches(simulate(arch, workload, engine="python"), table) == []
-    return table
+def _run_both(arch, workload, model_contention=True):
+    """Run ``workload`` on the table lane, assert its result identical to
+    the object kernel's, and return the compiled :class:`TableProgram`."""
+    simulator = SystemSimulator(arch, workload, model_contention)
+    result = simulator.run()
+    python = simulate(arch, workload, model_contention, engine="python")
+    assert result_mismatches(python, result) == []
+    return simulator._table
 
 
 class TestCommunicationFusion:
@@ -567,3 +573,107 @@ class TestCommunicationFusion:
         assert [landed[direct.fid, job] for job in range(nj)] == [3, 1, 1, 1]
         # the HBM write has no destination cluster: it always folds
         assert [landed[write.fid, job] for job in range(nj)] == [1] * nj
+
+
+# --------------------------------------------------------------------------- #
+# Closed-form chunk runs: one route update per run, per-chunk fallbacks
+# --------------------------------------------------------------------------- #
+#: resnet18 3x64x64 FINAL on 256 clusters, batch 64, contention on: chunks
+#: entering the NoC, and how many of them still take the per-chunk body.
+ZOO_CHUNKS = 10560
+ZOO_PER_CHUNK_ENTRIES = 3069
+
+
+def _record_entries(monkeypatch):
+    """Record NoC entries from here on: ``per_chunk`` lists the ``arg`` of
+    every per-chunk body, ``runs`` the ``(arg, count, closed_form)`` of every
+    closed-form attempt."""
+    log = {"per_chunk": [], "runs": []}
+    noc_entry = TableProgram._noc_entry
+    enter_run = TableProgram._enter_run
+
+    def recording_noc_entry(self, arg):
+        log["per_chunk"].append(arg)
+        noc_entry(self, arg)
+
+    def recording_enter_run(self, group, arg, count, src=None):
+        closed_form = enter_run(self, group, arg, count, src)
+        log["runs"].append((arg, count, closed_form))
+        return closed_form
+
+    monkeypatch.setattr(TableProgram, "_noc_entry", recording_noc_entry)
+    monkeypatch.setattr(TableProgram, "_enter_run", recording_enter_run)
+    return log
+
+
+def _by_flow(program, args):
+    """``Counter`` of ``(flow id, job)`` over packed group/job ``args``."""
+    nj = program._nj
+    return Counter((program.groups[arg // nj].flow.fid, arg % nj) for arg in args)
+
+
+class TestClosedFormRuns:
+    def test_a_zoo_mapping_enters_most_chunks_in_closed_form(self, monkeypatch):
+        arch, workload = _zoo_workload("resnet18", (3, 64, 64), "final", 64, 256, None, 256)
+        log = _record_entries(monkeypatch)
+        _run_both(arch, workload)
+        closed = sum(count for __, count, closed_form in log["runs"] if closed_form)
+        assert len(log["per_chunk"]) == ZOO_PER_CHUNK_ENTRIES
+        assert len(log["per_chunk"]) + closed == ZOO_CHUNKS
+
+    def test_a_destination_not_yet_touched_enters_chunk_by_chunk(self, monkeypatch):
+        """Job 0's three equal chunks head for cluster 9 before anything
+        touched it, so each lands and the run falls back; later jobs' runs
+        are closed-form.  The HBM write has no destination cluster."""
+        log = _record_entries(monkeypatch)
+        program = _run_both(ARCH64, _two_stage(n_chunks=3, n_bytes=3072))
+        direct, write = program.flows
+        fallback = [arg for arg, __, closed_form in log["runs"] if not closed_form]
+        closed = [arg for arg, __, closed_form in log["runs"] if closed_form]
+        assert _by_flow(program, fallback) == {(direct.fid, 0): 1}
+        assert _by_flow(program, log["per_chunk"]) == {(direct.fid, 0): 3}
+        assert _by_flow(program, closed) == Counter(
+            [(direct.fid, job) for job in range(1, 4)]
+            + [(write.fid, job) for job in range(4)]
+        )
+
+    def test_two_hbm_channels_enter_hbm_routes_chunk_by_chunk(self, monkeypatch):
+        """With two channels a later chunk may overtake an earlier one on
+        another channel: the write does not fold, so it never runs closed-form."""
+        arch = dataclasses.replace(
+            ARCH64, hbm=dataclasses.replace(ARCH64.hbm, n_channels=2)
+        )
+        log = _record_entries(monkeypatch)
+        program = _run_both(arch, _two_stage(n_chunks=3, n_bytes=3072))
+        direct, write = program.flows
+        assert not write.fold
+        closed = [arg for arg, __, closed_form in log["runs"] if closed_form]
+        assert {fid for fid, __ in _by_flow(program, closed)} == {direct.fid}
+        assert _by_flow(program, log["per_chunk"]) == Counter(
+            {(direct.fid, 0): 3, **{(write.fid, job): 3 for job in range(4)}}
+        )
+
+    def test_contention_off_enters_every_chunk_alone(self, monkeypatch):
+        log = _record_entries(monkeypatch)
+        _run_both(ARCH64, _two_stage(n_chunks=3, n_bytes=3072), model_contention=False)
+        assert not any(closed_form for __, __, closed_form in log["runs"])
+        assert len(log["per_chunk"]) == 2 * 3 * 4
+
+    def test_a_burst_out_of_dma_channels_runs_two_and_queues_two(self, monkeypatch):
+        """Four chunks on two DMA channels: the two that start at once run
+        closed-form, the two queued behind them enter one by one."""
+        arch = dataclasses.replace(
+            ARCH64, cluster=dataclasses.replace(ARCH64.cluster, dma_channels=2)
+        )
+        workload = _two_stage(n_chunks=4, n_jobs=2)
+        log = _record_entries(monkeypatch)
+        program = _run_both(arch, workload)
+        direct, write = program.flows
+        closed = [(arg, count) for arg, count, closed_form in log["runs"] if closed_form]
+        assert all(count == 2 for __, count in closed)
+        assert _by_flow(program, [arg for arg, __ in closed]) == Counter(
+            [(direct.fid, 1), (write.fid, 0), (write.fid, 1)]
+        )
+        assert _by_flow(program, log["per_chunk"]) == Counter(
+            {(direct.fid, 0): 4, (direct.fid, 1): 2, (write.fid, 0): 2, (write.fid, 1): 2}
+        )

@@ -10,7 +10,7 @@ runs through :func:`repro.sim.result_mismatches`, which enumerates every
 observable of a :class:`~repro.sim.SimulationResult` and reports the first
 divergence by name.
 
-Four layers of coverage:
+Five layers of coverage:
 
 * the synthetic pipelines and model-zoo mappings shared with the
   fast-forward suite (known shapes: replication, residual storage, HBM
@@ -24,6 +24,10 @@ Four layers of coverage:
   costs, byte sizes, replication widths, storage flows, buffer depths and
   contention drawn from a fixed-seed RNG, so a kernel divergence on an
   unanticipated shape shows up here first (and reproducibly);
+* a coincidence-heavy sweep — costs of a few cycles, tiny chunked flows,
+  zero-latency HBM and one or two DMA channels — where same-cycle
+  insertion order decides who a queue serves first, plus a named
+  reproducer of each divergence it has found;
 * the fast-forward, whose probes always run shortened copies of the
   workload on the table lane, against its own full run and against the
   object kernel's.
@@ -297,6 +301,180 @@ class TestRandomizedProperty:
         )
         mismatches = result_mismatches(python, table)
         assert mismatches == [], f"seed {seed}: {mismatches}"
+
+
+# --------------------------------------------------------------------------- #
+# Coincidence-heavy property sweep
+# --------------------------------------------------------------------------- #
+#: byte counts around the 64-byte link width and the HBM widths below, so
+#: serialisations tie and differ by one cycle.
+_TIE_BYTES = (1, 63, 64, 65, 128, 129, 256)
+
+
+def _coincidence_case(rng: random.Random):
+    """A random ``(arch, workload, model_contention, buffer_depth)`` whose
+    events collide: single-digit compute costs, tiny flows cut into up to
+    seven chunks, zero or one-cycle HBM latencies and one or two DMA
+    channels put many rows of different flows into the same cycle, where
+    only insertion order decides who is served first."""
+    n_stages = rng.randint(2, 6)
+    replication = [rng.choice([1, 1, 2, 3]) for __ in range(n_stages)]
+    widths = [[rng.choice([1, 2]) for __ in range(r)] for r in replication]
+    clusters = iter(rng.sample(range(ARCH64.n_clusters), sum(map(sum, widths))))
+
+    def flow(kind, **fields):
+        return DataFlow(
+            kind,
+            rng.choice(_TIE_BYTES),
+            transfers_per_job=rng.choice([1, 2, 3, 4, 7]),
+            **fields,
+        )
+
+    # stage i -> i + 1, the same flow on both ends
+    links = [flow("stage", stage_id=i + 1) for i in range(n_stages - 1)]
+    stages = []
+    for i in range(n_stages):
+        inputs = ()
+        if i == 0 or rng.random() < 0.3:
+            inputs = (flow("hbm", label=f"in{i}"),)
+        if i > 0:
+            inputs = (dataclasses.replace(links[i - 1], stage_id=i - 1),) + inputs
+        outputs = (links[i],) if i < n_stages - 1 else ()
+        if i == n_stages - 1 or rng.random() < 0.4:
+            outputs = outputs + (flow("hbm", label=f"out{i}"),)
+        replicas = tuple(
+            tuple(next(clusters) for __ in range(width)) for width in widths[i]
+        )
+        analog = rng.choice([1, 2, 3, 5, 8])
+        digital = rng.choice([0, 1, 2, 4])
+        stages.append(_stage(i, replicas, analog, digital, inputs, outputs))
+    n_jobs = rng.choice([5, 9, 16, 24])
+    workload = Workload(
+        "coincidence", stages, n_jobs=n_jobs, batch_size=n_jobs, tiles_per_image=1
+    )
+    arch = dataclasses.replace(
+        ARCH64,
+        hbm=dataclasses.replace(
+            ARCH64.hbm,
+            access_latency_cycles=rng.choice([0, 1, 2]),
+            data_width_bytes=rng.choice([32, 64, 65]),
+        ),
+        cluster=dataclasses.replace(ARCH64.cluster, dma_channels=rng.choice([1, 2, 16])),
+    )
+    return arch, workload, rng.random() < 0.85, rng.choice([1, 2, 3])
+
+
+class TestCoincidenceSweep:
+    """Bit-identity where same-cycle insertion order decides the answer.
+
+    The randomized sweep above draws costs in the hundreds of cycles, so
+    two rows rarely share a cycle.  Here compute and transfers take a few
+    cycles each, and the table lane's queueing state — the DMA FIFO, the
+    HBM channel queue, the closed-form chunk runs — must order every tie
+    as the object kernel's servers do."""
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_coincident_pipelines_identical(self, seed):
+        arch, workload, model_contention, buffer_depth = _coincidence_case(
+            random.Random(9000 + seed)
+        )
+        python = simulate(arch, workload, model_contention, buffer_depth, engine="python")
+        table = simulate(arch, workload, model_contention, buffer_depth, engine="table")
+        mismatches = result_mismatches(python, table)
+        assert mismatches == [], f"seed {seed}: {mismatches}"
+
+    def test_a_same_cycle_dma_release_keeps_the_object_kernels_queue_order(self):
+        """Two chunks leave their DMA in one cycle (t=1261) and then queue
+        on the single HBM channel.  The object kernel's DMA server inserts a
+        queued chunk's completion when a channel frees, so a free-at heap
+        that inserted it at issue flipped the two chunks, and stage 0's
+        last completion came one cycle late (1480)."""
+        workload = Workload(
+            "dma-order",
+            [
+                _stage(0, ((0,),), 1, 4, (_hbm("in", 128, 1),),
+                       (_edge(1, 64, 3), _hbm("out0", 129, 2))),
+                _stage(1, ((3,),), 3, 1, (_edge(0, 64, 3),),
+                       (_edge(2, 1, 7), _hbm("out1", 63, 4))),
+                _stage(2, ((6, 7),), 3, 1, (_edge(1, 1, 7),), (_hbm("out2", 129, 4),)),
+            ],
+            n_jobs=5,
+            batch_size=5,
+            tiles_per_image=1,
+        )
+        arch = _fast_hbm_arch(dma_channels=1)
+        python = simulate(arch, workload, True, 2, engine="python")
+        table = simulate(arch, workload, True, 2, engine="table")
+        assert python.completion_trace(0) == (599, 820, 1039, 1259, 1479)
+        assert result_mismatches(python, table) == []
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="open: a queued link's drain row is inserted at submit, the "
+        "object kernel's link finish when the link starts serving it",
+    )
+    def test_a_queued_link_drain_ties_with_an_hbm_feed(self):
+        """Known divergence, kept as a reproducer.  At t=1563 an HBM feed's
+        channel and another transfer's last link finish together.  The
+        object kernel inserted the link's finish at t=1562, when the link
+        started serving that transfer, so the feed lands first; the table
+        lane's links are busy-until scalars and insert the drain row at
+        submit (t=1549), so the transfer lands first and stage 4's sixth
+        completion comes 5 cycles early."""
+        workload = Workload(
+            "queued-link-tie",
+            [
+                _stage(0, ((28,),), 1, 1, (_hbm("in", 128, 3),),
+                       (_edge(1, 63, 4), _hbm("out0", 1, 7))),
+                _stage(1, ((60, 52),), 5, 4, (_edge(0, 63, 4),), (_edge(2, 256, 2),)),
+                _stage(2, ((11, 56),), 8, 1, (_edge(1, 256, 2), _hbm("feed2", 1, 2)),
+                       (_edge(3, 64, 3),)),
+                _stage(3, ((6, 32), (29,), (20,)), 5, 4,
+                       (_edge(2, 64, 3), _hbm("feed3", 129, 4)),
+                       (_edge(4, 256, 7), _hbm("res", 128, 7))),
+                _stage(4, ((38,), (33, 31)), 5, 4,
+                       (_edge(3, 256, 7), _hbm("res", 128, 7)), (_hbm("out4", 128, 7),)),
+            ],
+            n_jobs=9,
+            batch_size=9,
+            tiles_per_image=1,
+        )
+        arch = _fast_hbm_arch(dma_channels=ARCH64.cluster.dma_channels)
+        python = simulate(arch, workload, True, 2, engine="python")
+        table = simulate(arch, workload, True, 2, engine="table")
+        assert result_mismatches(python, table) == []
+
+
+def _fast_hbm_arch(dma_channels):
+    """``ARCH64`` with a zero-latency, 32-byte HBM and ``dma_channels``."""
+    return dataclasses.replace(
+        ARCH64,
+        hbm=dataclasses.replace(ARCH64.hbm, access_latency_cycles=0, data_width_bytes=32),
+        cluster=dataclasses.replace(ARCH64.cluster, dma_channels=dma_channels),
+    )
+
+
+def _stage(i, replicas, analog, digital, inputs, outputs):
+    return StageDescriptor(
+        stage_id=i,
+        name=f"s{i}",
+        analog_replicas=replicas,
+        cost=StageCost(
+            analog_cycles_per_job=analog,
+            digital_cycles_per_job=digital,
+            analog_macs_per_job=1,
+        ),
+        inputs=inputs,
+        outputs=outputs,
+    )
+
+
+def _edge(stage_id, n_bytes, chunks):
+    return DataFlow("stage", n_bytes, stage_id=stage_id, transfers_per_job=chunks)
+
+
+def _hbm(label, n_bytes, chunks):
+    return DataFlow("hbm", n_bytes, label=label, transfers_per_job=chunks)
 
 
 # --------------------------------------------------------------------------- #
