@@ -37,9 +37,9 @@ Two scheduling entry points:
   active bucket, byte-identical to ``after(0, ...)`` ordering.
 
 Plain callables keep flowing through the same buckets unchanged — mixed
-runs dispatch in exact bucket order — so everything the tables do not
-compile (external feeds, re-entrant credit waiters) stays a callback, and
-the object primitives (:class:`~repro.sim.engine.Server`,
+runs dispatch in exact bucket order — so what the tables do not compile
+(an open workload's arrival holds; a closed run has none) stays a
+callback, and the object primitives (:class:`~repro.sim.engine.Server`,
 :class:`~repro.sim.engine.CreditStore`) run on this engine as on the
 object kernel.  Every row counts as one event.  The bit-identity gate is
 ``tests/test_sim_kernel_equivalence.py``.

@@ -26,11 +26,11 @@ two certification paths:
    completion trace is periodic with *its own* window and anchor (an
    upstream stage may free-run several jobs ahead of a late bottleneck).
    The replica path certifies every stage at its own anchor, rebuilds the
-   probe's event population from an exact per-stage/per-phase ledger of the
-   engine's record stream (verified event-for-event against the probe),
-   extends every completion trace by integer recurrence, and re-derives
-   per-cluster busy horizons from the certified event families.  Any
-   mismatch — ledger vs. probe, a non-periodic event family, a producer
+   probe's event population from an exact per-stage/per-phase ledger read
+   off the probe's compiled program (verified event-for-event against the
+   probe), extends every completion trace by integer recurrence, and
+   re-derives per-cluster busy horizons from the certified event families.
+   Any mismatch — ledger vs. probe, a non-periodic event family, a producer
    whose run-ahead would hit its credit ceiling beyond the probe — refuses
    the fast-forward instead of risking a wrong answer.
 
@@ -59,12 +59,11 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..arch.config import ArchConfig
 from .system import SimulationResult, SystemSimulator
-from .system_table import TableProgram
+from .system_table import F_DIRECT, F_FEED, TableProgram
 from .workload import (
     ENDPOINT_HBM,
     ENDPOINT_STAGE,
     ENDPOINT_STORAGE,
-    StageDescriptor,
     Workload,
 )
 
@@ -528,8 +527,9 @@ def _global_fast_forward(
 # periodic pattern — window G_s jobs, period P_s cycles — at its own
 # anchor.  The replica path certifies those per-stage patterns directly on
 # the completion traces, then re-derives everything else (counters, link
-# busy, per-cluster activity and busy horizons) from an exact event ledger,
-# verified event-for-event against the probe before it is trusted.
+# busy, per-cluster activity and busy horizons) from an exact event ledger
+# read off the probe's compiled flows, verified event-for-event against the
+# probe before it is trusted.
 
 
 class _RecordingProgram(TableProgram):
@@ -651,42 +651,22 @@ def _contrib_count(contrib: _Contrib, lo: int, hi: int) -> int:
     return total
 
 
-def _partition_digital(desc: StageDescriptor) -> List[Tuple[int, ...]]:
-    """Mirror of ``_StageRuntime._partition_digital`` (round-robin groups)."""
-    clusters = desc.digital_clusters
-    slots = desc.digital_slots
-    if not clusters:
-        return [()] * slots
-    groups: List[Tuple[int, ...]] = []
-    per_group = max(1, math.ceil(len(clusters) / slots))
-    for index in range(slots):
-        group = clusters[index * per_group : (index + 1) * per_group]
-        groups.append(tuple(group) if group else (clusters[-1],))
-    return groups
-
-
 class _EventLedger:
     """Exact per-stage model of every tracer record and traffic counter.
 
-    The ledger walks the workload the same way the simulator does — analog
-    replicas, intra-stage transfers, digital groups, output routing
-    (including chunk grouping, storage relays and external feeds) — and
-    predicts, for each ``(cluster, category, cycles)`` event family, how
-    many events each stage contributes per job (or per phase of its
+    The ledger reads the probe's compiled program — each stage's analog
+    replicas and digital groups, and each flow's chunk groups (DMA and
+    delivery cycles, serialization, route, destination) — and predicts,
+    for each ``(cluster, category, cycles)`` event family, how many events
+    each stage contributes per job (or per phase of its
     ``lcm(replication, digital_slots)`` round-robin), plus the per-job
     traffic-counter and per-link increments.  Before extrapolation the
     prediction is verified *exactly* against the probe's recorded state;
     any mismatch refuses the fast-forward.
     """
 
-    def __init__(self, arch: ArchConfig, workload: Workload):
-        self.workload = workload
-        self.topology = arch.topology()
-        spec = arch.cluster
-        self._bw = spec.dma_bandwidth_bytes_per_cycle
-        self._config = spec.cores.dma_config_cycles
-        self._dma_memo: Dict[int, int] = {}
-        self._comm_memo: Dict[int, int] = {}
+    def __init__(self, probe: TableProgram):
+        self._link_names = probe._link_names
         #: (cluster, category, cycles) -> contribution per (class_sid, bound)
         self.groups: Dict[Tuple[int, str, int], Dict[Tuple, _Contrib]] = {}
         #: stage -> per-phase traffic counters [hbm, noc, hops, local, transfers]
@@ -697,42 +677,7 @@ class _EventLedger:
         self.flat_links: Dict[int, Dict[str, int]] = {}
         #: cluster -> stages whose steady rate drives its DMA engine
         self.dma_pacers: Dict[int, Set[int]] = {}
-        self._build()
-
-    # -- cycle-count mirrors of the simulator's memoized helpers -------- #
-    def _dma(self, n_bytes: int) -> int:
-        if n_bytes <= 0:
-            return 0
-        cycles = self._dma_memo.get(n_bytes)
-        if cycles is None:
-            cycles = self._dma_memo[n_bytes] = self._config + math.ceil(
-                n_bytes / self._bw
-            )
-        return cycles
-
-    def _comm(self, n_bytes: int) -> int:
-        cycles = self._comm_memo.get(n_bytes)
-        if cycles is None:
-            cycles = self._comm_memo[n_bytes] = math.ceil(n_bytes / self._bw)
-        return cycles
-
-    @staticmethod
-    def _chunk_groups(n_bytes: int, n_chunks: int) -> Tuple[Tuple[int, int], ...]:
-        """(size, count) groups of ``send_chunked``, including its 1-byte floor."""
-        chunk = math.ceil(n_bytes / n_chunks)
-        sizes: List[int] = []
-        remaining = n_bytes
-        for __ in range(n_chunks):
-            size = min(chunk, remaining)
-            remaining -= size
-            sizes.append(max(1, size))
-        grouped: List[Tuple[int, int]] = []
-        for size in sizes:
-            if grouped and grouped[-1][0] == size:
-                grouped[-1] = (size, grouped[-1][1] + 1)
-            else:
-                grouped.append((size, 1))
-        return tuple(grouped)
+        self._build(probe)
 
     # -- contribution plumbing ------------------------------------------ #
     def _event(
@@ -769,42 +714,9 @@ class _EventLedger:
                 contrib.phases = [0] * q
             contrib.phases[phase] += count
 
-    def _transfer(
+    def _flow(
         self,
-        src: Optional[int],
-        dst: Optional[int],
-        n_bytes: int,
-        counters: List[int],
-        links: Dict[str, int],
-    ) -> None:
-        """Mirror of ``NocModel.transfer_bytes`` traffic accounting."""
-        if n_bytes == 0 or src == dst:
-            counters[4] += 1
-            counters[3] += n_bytes
-            return
-        if src is None:
-            route = self.topology.route_from_hbm(dst)
-            involves_hbm = True
-        elif dst is None:
-            route = self.topology.route_to_hbm(src)
-            involves_hbm = True
-        else:
-            route = self.topology.route(src, dst)
-            involves_hbm = False
-        serialization = -(-n_bytes // route.min_width_bytes)
-        counters[4] += 1
-        counters[1] += n_bytes
-        counters[2] += n_bytes * route.n_hops
-        if involves_hbm:
-            counters[0] += n_bytes
-        for link in route.links:
-            links[link] = links.get(link, 0) + serialization
-
-    def _send(
-        self,
-        src: Optional[int],
-        dst: Optional[int],
-        n_bytes: int,
+        flow,
         src_key: Tuple,
         dst_key: Tuple,
         counters: List[int],
@@ -813,194 +725,100 @@ class _EventLedger:
         q: int = 0,
         dst_dominator: Optional[Tuple] = None,
     ) -> None:
-        """Mirror of ``SystemSimulator.send_bytes`` record emission."""
-        if n_bytes <= 0:
-            return
-        if src is not None:
-            self._event(src, "communication", self._dma(n_bytes), src_key, 1, phase, q)
-            self.dma_pacers.setdefault(src, set()).add(src_key[0])
-        self._transfer(src, dst, n_bytes, counters, links)
-        if dst is not None:
-            self._event(
-                dst,
-                "communication",
-                self._comm(n_bytes),
-                dst_key,
-                1,
-                phase,
-                q,
-                dominator=dst_dominator,
-            )
+        """Records and traffic of one job of a compiled flow.
 
-    def _send_chunked(
-        self,
-        src: Optional[int],
-        dst: Optional[int],
-        n_bytes: int,
-        n_chunks: int,
-        src_key: Tuple,
-        dst_key: Tuple,
-        counters: List[int],
-        links: Dict[str, int],
-        dst_dominator: Optional[Tuple] = None,
-    ) -> None:
-        """Mirror of the table lane's chunk fan-out record emission.
-
-        All same-size chunks of one burst share a single source-side
-        communication record of ``duration * count`` cycles; the
-        destination side and the traffic counters are per chunk.
+        Each chunk group gives one source-side record of ``dma_dur *
+        count`` cycles (the table lane fuses a group's DMA bursts), then
+        ``count`` transfers and ``count`` delivery records.
         """
-        if n_bytes <= 0 or n_chunks <= 1:
-            self._send(
-                src,
-                dst,
-                n_bytes,
-                src_key,
-                dst_key,
-                counters,
-                links,
-                dst_dominator=dst_dominator,
-            )
-            return
-        for size, count in self._chunk_groups(n_bytes, n_chunks):
+        src = flow.src
+        names = self._link_names
+        for group in flow.groups:
+            count = group.count
             if src is not None:
-                self._event(src, "communication", self._dma(size) * count, src_key, 1)
+                dma = group.dma_dur * count
+                self._event(src, "communication", dma, src_key, 1, phase, q)
                 self.dma_pacers.setdefault(src, set()).add(src_key[0])
-            for __ in range(count):
-                self._transfer(src, dst, size, counters, links)
-            if dst is not None:
+            plan = group.plan
+            counters[4] += count
+            if plan is None:
+                counters[3] += group.size * count
+            else:
+                counters[1] += group.size * count
+                counters[2] += group.byte_hops * count
+                if plan.involves_hbm:
+                    counters[0] += group.size * count
+                for lid in plan.lids:
+                    links[names[lid]] = links.get(names[lid], 0) + group.ser * count
+            if group.dst is not None:
                 self._event(
-                    dst,
+                    group.dst,
                     "communication",
-                    self._comm(size),
+                    group.comm_cycles,
                     dst_key,
                     count,
+                    phase,
+                    q,
                     dominator=dst_dominator,
                 )
 
-    # -- workload walk --------------------------------------------------- #
-    def _build(self) -> None:
-        stages = self.workload.stages
-        by_id = {d.stage_id: d for d in stages}
-        produced = {
-            (flow.kind, flow.label)
-            for d in stages
-            for flow in d.outputs
-            if flow.kind in (ENDPOINT_HBM, ENDPOINT_STORAGE)
-        }
-        relay_targets = {
-            (flow.kind, flow.label): d.stage_id
-            for d in stages
-            for flow in d.inputs
-            if flow.kind in (ENDPOINT_HBM, ENDPOINT_STORAGE)
-        }
-        for d in stages:
-            sid = d.stage_id
-            q_eff = math.lcm(d.replication, d.digital_slots)
+    # -- program walk ---------------------------------------------------- #
+    def _build(self, probe: TableProgram) -> None:
+        feeds: Dict[int, List] = {}
+        for flow in probe.flows:
+            if flow.kind == F_FEED:
+                feeds.setdefault(flow.consumer.sid, []).append(flow)
+        for st in probe.stages:
+            sid = st.sid
+            q_eff = math.lcm(st.repl, st.dslots)
             pc = self.phase_counters[sid] = [[0] * 5 for __ in range(q_eff)]
             pl = self.phase_links[sid] = [{} for __ in range(q_eff)]
             fc = self.flat_counters[sid] = [0] * 5
             fl = self.flat_links[sid] = {}
-            dgroups = _partition_digital(d)
             own_t = (sid, ("T", sid))
             own_e = (sid, ("E", sid))
-            ac = d.cost.analog_cycles_per_job
-            dc = d.cost.digital_cycles_per_job
-            intra = d.cost.intra_stage_bytes_per_job
             for p in range(q_eff):
-                replica = (
-                    d.analog_replicas[p % d.replication] if d.is_analog else ()
-                )
-                if d.is_analog:
-                    for cluster in replica:
-                        self._event(cluster, "analog", ac, own_e, 1, p, q_eff)
-                if intra > 0 and d.digital_clusters:
-                    isrc = replica[0] if replica else d.io_cluster
-                    idst = d.digital_clusters[0]
-                    self._send(
-                        isrc, idst, intra, own_t, own_e, pc[p], pl[p], phase=p, q=q_eff
+                if st.is_analog:
+                    for cluster in st.replicas[p % st.repl]:
+                        self._event(cluster, "analog", st.analog_d, own_e, 1, p, q_eff)
+                if st.intra_flows is not None:
+                    self._flow(
+                        st.intra_flows[p % st.repl], own_t, own_e, pc[p], pl[p], p, q_eff
                     )
-                if dc > 0:
-                    for cluster in dgroups[p % d.digital_slots]:
-                        self._event(cluster, "digital", dc, own_e, 1, p, q_eff)
-            io = d.io_cluster
-            for flow in d.outputs:
-                if flow.kind == ENDPOINT_STAGE:
-                    consumer = by_id[flow.stage_id]
+                if st.digital_d > 0:
+                    for cluster in st.digital_groups[p % st.dslots]:
+                        self._event(cluster, "digital", st.digital_d, own_e, 1, p, q_eff)
+            for flow in st.out_flows:
+                if flow.kind == F_DIRECT:
                     # deliveries are producer-timed while the producer holds
                     # credit slack (the free-run guard enforces that), but
                     # each must land before the consuming job starts
-                    self._send_chunked(
-                        io,
-                        consumer.io_cluster,
-                        flow.bytes_per_job,
-                        flow.transfers_per_job,
-                        own_t,
-                        (sid, ("E", consumer.stage_id)),
-                        fc,
-                        fl,
-                    )
-                else:
-                    storage = (
-                        flow.storage_cluster
-                        if flow.kind == ENDPOINT_STORAGE
-                        else None
-                    )
-                    target = relay_targets.get((flow.kind, flow.label))
-                    # the producer's job-done barrier awaits the write.  When
-                    # the tile is relayed onward, the relay read of the same
-                    # job is granted at ``written`` — at or after every write
-                    # chunk delivery — and its source-side DMA record ends
-                    # strictly later on the same storage cluster, so the
-                    # write's destination events are dominated by the relay
-                    # read family and need no completion-time bound of their
-                    # own once that family certifies.
-                    self._send_chunked(
-                        io,
-                        storage,
-                        flow.bytes_per_job,
-                        flow.transfers_per_job,
-                        own_t,
-                        own_t,
-                        fc,
-                        fl,
-                        dst_dominator=(
-                            (target, ("E", target))
-                            if target is not None and storage is not None
-                            else None
-                        ),
-                    )
-                    if target is not None:
-                        # relay read: issued per produced tile, paced by the
-                        # consumer's credit releases, delivered before the
-                        # consuming job starts
-                        consumer_key = (target, ("E", target))
-                        self._send_chunked(
-                            storage,
-                            by_id[target].io_cluster,
-                            flow.bytes_per_job,
-                            flow.transfers_per_job,
-                            consumer_key,
-                            consumer_key,
-                            fc,
-                            fl,
-                        )
-            for flow in d.inputs:
-                if flow.kind == ENDPOINT_STAGE:
+                    consumer_e = (sid, ("E", flow.consumer.sid))
+                    self._flow(flow, own_t, consumer_e, fc, fl)
                     continue
-                if (flow.kind, flow.label) in produced:
+                read = flow.relay
+                if read is None:
+                    self._flow(flow, own_t, own_t, fc, fl)
                     continue
+                # the producer's job-done barrier awaits the write.  The
+                # relay read of the same job is granted at ``written`` — at
+                # or after every write chunk delivery — and its source-side
+                # DMA record ends strictly later on the same storage
+                # cluster, so the write's destination events (a storage
+                # write has some; an HBM write none) are dominated by the
+                # relay read family and need no completion-time bound of
+                # their own once that family certifies.
+                consumer_key = (read.consumer.sid, ("E", read.consumer.sid))
+                self._flow(flow, own_t, own_t, fc, fl, dst_dominator=consumer_key)
+                # relay read: issued per produced tile, paced by the
+                # consumer's credit releases, delivered before the
+                # consuming job starts
+                self._flow(read, consumer_key, consumer_key, fc, fl)
+            for feed in feeds.get(sid, ()):
                 # external feed: one un-chunked HBM fetch per job, delivered
                 # before the consuming job starts (credit-gated at the
                 # consumer, so its settled pace is the consumer's)
-                self._transfer(None, io, flow.bytes_per_job, fc, fl)
-                self._event(
-                    io,
-                    "communication",
-                    self._comm(flow.bytes_per_job),
-                    (sid, ("E", sid)),
-                    1,
-                )
+                self._flow(feed, own_e, own_e, fc, fl)
 
     # -- aggregation helpers -------------------------------------------- #
     def added_counters(self, lo: int, hi: int) -> List[int]:
@@ -1724,7 +1542,7 @@ def _replica_fast_forward(
                     f"run ({detail})",
                 )
             return refuse(REFUSAL_NON_PERIODIC, detail)
-        ledger = _EventLedger(arch, workload)
+        ledger = _EventLedger(probe)
         mismatch = _verify_probe_state(probe, ledger, workload, b)
         if mismatch is not None:
             return refuse(REFUSAL_NON_PERIODIC, f"ledger mismatch: {mismatch}")
@@ -1788,7 +1606,7 @@ def _witnessed_window(workload: Workload) -> int:
             shapes.append((d.stage_id, "analog", d.replication, d.analog_replicas))
         if d.cost.digital_cycles_per_job > 0:
             shapes.append(
-                (d.stage_id, "digital", d.digital_slots, _partition_digital(d))
+                (d.stage_id, "digital", d.digital_slots, d.digital_groups)
             )
     owners = Counter(
         (kind, c) for _, kind, _, groups in shapes for group in groups

@@ -398,7 +398,7 @@ class _StageRuntime:
             if sim.workload.arrival_cycles and not descriptor.inputs
             else None
         )
-        self._digital_groups = self._partition_digital()
+        self._digital_groups = descriptor.digital_groups
         # register for per-stage statistics, with the replica-group shape
         # the steady-state certifier folds completion traces by
         sim.tracer.stage(
@@ -407,19 +407,6 @@ class _StageRuntime:
             replication=descriptor.replication,
             digital_slots=descriptor.digital_slots,
         )
-
-    # ------------------------------------------------------------------ #
-    def _partition_digital(self) -> List[Tuple[int, ...]]:
-        clusters = self.desc.digital_clusters
-        slots = self.desc.digital_slots
-        if not clusters:
-            return [()] * slots
-        groups: List[Tuple[int, ...]] = []
-        per_group = max(1, math.ceil(len(clusters) / slots))
-        for index in range(slots):
-            group = clusters[index * per_group : (index + 1) * per_group]
-            groups.append(tuple(group) if group else (clusters[-1],))
-        return groups
 
     # ------------------------------------------------------------------ #
     # Input side

@@ -27,11 +27,13 @@ scalar (a transfer drains at ``max(now, busy_until) + serialization``),
 and a multi-channel DMA engine is a busy count plus a FIFO that each
 DMA completion pops, as ``Server._finish`` does; server finishes, credit
 grants and their FIFO cascades, chunk fan-outs and HBM round-robin picks
-are all deterministic given event order.  Steps whose continuation is an
-arbitrary closure stay callbacks and ride the engine's callback lane
-unchanged: the external HBM feeds (their fetch → grant → deliver
-recursion is re-entrant through the credit queue, so the credit waiter
-queues hold *either* packed ints or callables).
+are all deterministic given event order.  Every data flow compiles,
+the external HBM feeds included: a feed is an ``F_FEED`` flow (one
+unchunked HBM read per job) whose delivery requests the feed's next job,
+so the credit waiter queues hold only packed ints.  The one closure left
+is an open workload's arrival hold — a source stage's, or a feed's,
+wakeup at a request's arrival cycle — which rides the engine's callback
+lane, interleaving exactly with the opcode rows.
 
 Equivalence contract: every row with an observable effect lands at the
 same simulated time, in the same bucket insertion position, as the
@@ -100,6 +102,7 @@ F_DIRECT = 0  # producer stage -> consumer stage (credit-gated)
 F_WRITE = 1  # producer stage -> HBM / storage cluster
 F_READ = 2  # HBM / storage cluster -> consumer stage (relay prefetch)
 F_INTRA = 3  # analog replica -> first digital cluster (partial sums)
+F_FEED = 4  # HBM -> consumer stage (external input, one chunk per job)
 
 
 class _Plan:
@@ -112,7 +115,6 @@ class _Plan:
         "min_width",
         "involves_hbm",
         "touched",
-        "cycles_memo",
     )
 
     def __init__(
@@ -131,9 +133,6 @@ class _Plan:
         #: whether every link of this plan is already in the first-touch
         #: order (short-circuits the per-transfer seen check).
         self.touched = False
-        #: n_bytes -> (serialization, hbm_extra) for the callback-fallback
-        #: transfer path (compiled groups precompute these instead).
-        self.cycles_memo: Dict[int, Tuple[int, int]] = {}
 
 
 class _Group:
@@ -167,7 +166,7 @@ class _Group:
         self.ser = ser
         self.hbm_extra = hbm_extra
         self.dst = dst
-        self.plan = plan  # None for local (same-cluster) handoffs
+        self.plan = plan  # None for local handoffs (same cluster, or 0 bytes)
         # burst constants precomputed off the hot path
         self.byte_hops = size * plan.n_hops if plan is not None else 0
         self.uncont_lat = plan.hop + ser + hbm_extra if plan is not None else 0
@@ -313,7 +312,7 @@ class TableProgram:
     # Compilation
     # ------------------------------------------------------------------ #
     def build(self) -> None:
-        """Compile stages, flows and feeds; registers engine handlers.
+        """Compile stages and flows; registers engine handlers.
 
         Stage registration, relay resolution and external-feed kickoff
         happen in the exact order of ``SystemSimulator._build`` so that
@@ -335,7 +334,7 @@ class TableProgram:
             st.replicas = desc.analog_replicas
             st.digital_d = desc.cost.digital_cycles_per_job
             st.dslots = desc.digital_slots
-            st.digital_groups = self._partition_digital(desc)
+            st.digital_groups = desc.digital_groups
             st.an_busy = 0
             st.an_wait = deque()
             st.dg_busy = 0
@@ -446,8 +445,9 @@ class TableProgram:
                 self._op_noc_burst,
             )
         )
-        # external feeds (network IFM fetched from HBM), in stage order —
-        # these schedule the run's first events, identically to _build()
+        # external feeds (network IFM fetched from HBM, one unchunked
+        # transfer per job), in stage order — requesting job 0 of each
+        # schedules the run's first events, identically to _build()
         produced = {
             (flow.kind, flow.label)
             for desc in workload.stages
@@ -460,20 +460,16 @@ class TableProgram:
                     continue
                 if (flow.kind, flow.label) in produced:
                     continue
-                self._start_feed(st, flow_index, flow.bytes_per_job)
-
-    @staticmethod
-    def _partition_digital(desc) -> List[Tuple[int, ...]]:
-        clusters = desc.digital_clusters
-        slots = desc.digital_slots
-        if not clusters:
-            return [()] * slots
-        groups: List[Tuple[int, ...]] = []
-        per_group = max(1, math.ceil(len(clusters) / slots))
-        for index in range(slots):
-            group = clusters[index * per_group : (index + 1) * per_group]
-            groups.append(tuple(group) if group else (clusters[-1],))
-        return groups
+                feed = self._make_flow(
+                    F_FEED,
+                    None,
+                    st.io_cluster,
+                    flow.bytes_per_job,
+                    1,
+                    consumer=st,
+                    flow_index=flow_index,
+                )
+                self._request_feed(feed, 0)
 
     @staticmethod
     def _consumer_flow_index(consumer: _CompiledStage, producer_id: int) -> int:
@@ -497,7 +493,9 @@ class TableProgram:
     ) -> _Flow:
         flow = _Flow(len(self.flows), kind, src, producer, consumer, flow_index)
         self.flows.append(flow)
-        if n_bytes <= 0:
+        if n_bytes <= 0 and kind != F_FEED:
+            # send_bytes(n <= 0) skips the NoC; a feed's zero-byte fetch
+            # goes through transfer_bytes, as one local handoff below
             flow.zero = True
             return flow
         flow.pending = [0] * self._nj
@@ -523,7 +521,7 @@ class TableProgram:
                     grouped.append((size, 1))
             total = n_chunks
         flow.total_chunks = total
-        plan = None if src == dst else self._plan(src, dst)
+        plan = None if src == dst or n_bytes <= 0 else self._plan(src, dst)
         hbm = self.arch.hbm
         # last-chunk-only landings need FIFO order from NoC entry to
         # landing: contended links, and at most one HBM channel to queue on
@@ -822,9 +820,8 @@ class TableProgram:
             act.last_job_end = now
         if now > self._mk:
             self._mk = now
-        # input credits released: producers may push the next chunk.  The
-        # waiter queues hold packed ints (compiled flows) or callables
-        # (external-feed grants) — CreditStore.release's FIFO drain.
+        # input credits released: producers may push the next chunk, in
+        # CreditStore.release's FIFO order (waiters are packed flow/job ints)
         nj = self._nj
         in_credits = st.in_credits
         flows = self.flows
@@ -834,11 +831,8 @@ class TableProgram:
             while in_credits[index] > 0 and wait:
                 waiter = wait.popleft()
                 in_credits[index] -= 1
-                if type(waiter) is int:
-                    fid = waiter // nj
-                    self._issue_flow(flows[fid], waiter - fid * nj)
-                else:
-                    waiter()
+                fid = waiter // nj
+                self._issue_flow(flows[fid], waiter - fid * nj)
         out = st.out_flows
         if not out:
             self._job_done(st, job)
@@ -861,6 +855,21 @@ class TableProgram:
             self._issue_flow(flow, job)
         else:
             consumer.in_wait[index].append(flow.fid * self._nj + job)
+
+    def _request_feed(self, flow: _Flow, job: int) -> None:
+        """Fetch job ``job`` of an external feed (``_start_external_feed``).
+
+        On an open workload the fetch, credit acquisition included, waits
+        for the request's arrival: a wakeup on the engine's callback lane,
+        the one closure the compiled lane keeps.
+        """
+        if job >= self._nj:
+            return
+        arrivals = self.workload.arrival_cycles
+        if arrivals and arrivals[job] > self.engine._now:
+            self.engine.at(arrivals[job], lambda: self._acquire_and_issue(flow, job))
+        else:
+            self._acquire_and_issue(flow, job)
 
     def _job_done(self, st: _CompiledStage, job: int) -> None:
         st.jobs_completed += 1
@@ -897,10 +906,14 @@ class TableProgram:
             read = flow.relay
             if read is not None:
                 self._acquire_and_issue(read, job)
-        else:  # F_READ: deliver only (the producer was released at write)
+        else:
+            # F_READ / F_FEED: deliver only (a read's producer was released
+            # at write); a feed then fetches its next job
             consumer = flow.consumer
             consumer.delivered[flow.flow_index] += 1
             self._try_start(consumer)
+            if kind == F_FEED:
+                self._request_feed(flow, job + 1)
 
     # ------------------------------------------------------------------ #
     # Data movement (compiled send_chunked / send_bytes)
@@ -1252,109 +1265,5 @@ class TableProgram:
         remaining = pend[0] - 1
         pend[0] = remaining
         if remaining == 0:
-            target = pend[2]
             engine = self.engine
-            if type(target) is int:
-                engine.sched_op(engine._now + pend[1], OP_CHUNK_LANDED, target)
-            else:
-                engine.after(pend[1], target)
-
-    # ------------------------------------------------------------------ #
-    # Callback fallback: external feeds
-    # ------------------------------------------------------------------ #
-    def _start_feed(self, st: _CompiledStage, flow_index: int, n_bytes: int) -> None:
-        """Feed a stage input from the HBM (mirrors _start_external_feed).
-
-        The fetch → grant → deliver recursion re-enters the credit queue
-        with a continuation closure, which is exactly the state the
-        transition tables do not cover — so it stays a callback chain on
-        the engine's callback lane, interleaving exactly with the opcode
-        rows.
-        """
-        nj = self._nj
-        dst = st.io_cluster
-        comm = math.ceil(n_bytes / self._dma_bw) if n_bytes > 0 else 0
-        in_credits = st.in_credits
-        in_wait = st.in_wait[flow_index]
-        delivered_counts = st.delivered
-        arrivals = self.workload.arrival_cycles
-
-        def fetch(job: int) -> None:
-            if job >= nj:
-                return
-
-            def granted() -> None:
-                def delivered() -> None:
-                    if dst is not None:
-                        self._record_comm(dst, comm, self.engine._now)
-                    delivered_counts[flow_index] += 1
-                    self._try_start(st)
-                    fetch(job + 1)
-
-                self._fetch_cb(dst, n_bytes, delivered)
-
-            def acquire() -> None:
-                if in_credits[flow_index] > 0 and not in_wait:
-                    in_credits[flow_index] -= 1
-                    granted()
-                else:
-                    in_wait.append(granted)
-
-            # open workloads: hold the fetch (and the credit acquisition)
-            # until the request arrives — mirrors _start_external_feed
-            if arrivals and arrivals[job] > self.engine._now:
-                self.engine.at(arrivals[job], acquire)
-            else:
-                acquire()
-
-        fetch(0)
-
-    def _fetch_cb(self, dst: int, n_bytes: int, on_done) -> None:
-        """Callback-continuation HBM fetch over the dense link/channel state.
-
-        Same timing and tracer updates as the compiled path, but the
-        completion is an arbitrary callable, delivered through the
-        engine's callback lane (and the HBM barrier cell's callable
-        target).  Only the external feeds use it, and they always read
-        from the HBM.
-        """
-        engine = self.engine
-        tracer = self.tracer
-        if dst is None:
-            raise ValueError("a transfer needs at least one on-chip endpoint")
-        if n_bytes == 0:
-            tracer.n_transfers += 1
-            engine.after(0, on_done)
-            return
-        plan = self._plan(None, dst)
-        memo = plan.cycles_memo.get(n_bytes)
-        if memo is None:
-            serialization = -(-n_bytes // plan.min_width)
-            hbm_extra = self.arch.hbm.service_cycles(n_bytes) - serialization
-            plan.cycles_memo[n_bytes] = (serialization, hbm_extra)
-        else:
-            serialization, hbm_extra = memo
-        tracer.n_transfers += 1
-        tracer.noc_bytes += n_bytes
-        tracer.noc_byte_hops += n_bytes * plan.n_hops
-        tracer.hbm_bytes += n_bytes
-        if not plan.touched:
-            self._touch_plan(plan)
-        link_busy = self._link_busy
-        lids = plan.lids
-        if not self.model_contention:
-            for lid in lids:
-                link_busy[lid] += serialization
-            engine.after(plan.hop + serialization + hbm_extra, on_done)
-            return
-        now = engine._now
-        busy_until = self._link_until
-        drain = now
-        for lid in lids:
-            link_busy[lid] += serialization
-            queued = busy_until[lid]
-            end = (queued if queued > now else now) + serialization
-            busy_until[lid] = end
-            if end > drain:
-                drain = end
-        self._hbm_join(now, drain, plan.hop, serialization + hbm_extra, on_done)
+            engine.sched_op(engine._now + pend[1], OP_CHUNK_LANDED, pend[2])

@@ -159,6 +159,27 @@ class StageDescriptor:
         clusters = self.clusters
         return clusters[0] if clusters else None
 
+    @property
+    def digital_groups(self) -> Tuple[Tuple[int, ...], ...]:
+        """Clusters recording each digital slot's jobs (job ``j`` runs on
+        group ``j % digital_slots``).
+
+        ``digital_clusters`` is cut into ``digital_slots`` consecutive
+        groups of ``ceil(clusters / slots)``; a slot left without clusters
+        records on the last one.  With no digital clusters every group is
+        empty.
+        """
+        clusters = self.digital_clusters
+        slots = self.digital_slots
+        if not clusters:
+            return ((),) * slots
+        per_group = -(-len(clusters) // slots)
+        return tuple(
+            tuple(clusters[index * per_group : (index + 1) * per_group])
+            or (clusters[-1],)
+            for index in range(slots)
+        )
+
     def throughput_limit_cycles(self) -> int:
         """Steady-state cycles per job this stage needs (its pipeline weight)."""
         analog = 0
@@ -312,7 +333,15 @@ class Workload:
         """Check stage references and cluster indices against the system size."""
         ids = {stage.stage_id for stage in self.stages}
         for stage in self.stages:
-            for cluster in stage.clusters:
+            clusters = stage.clusters
+            if (stage.inputs or stage.outputs) and not clusters:
+                # the simulators send a stage's data from and to its
+                # io_cluster, which a cluster-less stage does not have
+                raise ValueError(
+                    f"stage {stage.stage_id} ({stage.name}) has data flows "
+                    "but owns no cluster to send or receive them"
+                )
+            for cluster in clusters:
                 if not 0 <= cluster < n_clusters:
                     raise ValueError(
                         f"stage {stage.stage_id} uses cluster {cluster}, but the "

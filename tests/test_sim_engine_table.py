@@ -17,6 +17,8 @@ alone:
   and each fusion rule at the boundary where it must split or step aside;
 * closed-form chunk runs: how many chunks still take the per-chunk NoC
   body on a real mapping, and each boundary where a run falls back;
+* compiled feeds: a closed run schedules no callable, an open one only
+  its arrival holds;
 * the ``engine`` argument: two registered engines, everything else
   rejected by ``simulate``/``SystemSimulator`` (before any fast-forward
   probe), and no engine option at the scenario layer.
@@ -33,6 +35,9 @@ from repro.sim.engine import SimulationError
 from repro.sim.engine_table import TableEngine
 from repro.sim.system import SIMULATION_ENGINES, SystemSimulator
 from repro.sim.system_table import (
+    F_DIRECT,
+    F_FEED,
+    F_WRITE,
     OP_CHUNK_LANDED,
     OP_HBM_ARRIVE,
     OP_NOC_BURST,
@@ -493,6 +498,14 @@ def _two_stage(n_chunks, n_jobs=4, n_bytes=4096):
                     tiles_per_image=1)
 
 
+def _two_stage_flows(program):
+    """The direct, write and feed flows of a :func:`_two_stage` program."""
+    (direct,) = [flow for flow in program.flows if flow.kind == F_DIRECT]
+    (write,) = [flow for flow in program.flows if flow.kind == F_WRITE]
+    (feed,) = [flow for flow in program.flows if flow.kind == F_FEED]
+    return direct, write, feed
+
+
 def _run_both(arch, workload, model_contention=True):
     """Run ``workload`` on the table lane, assert its result identical to
     the object kernel's, and return the compiled :class:`TableProgram`."""
@@ -568,7 +581,7 @@ class TestCommunicationFusion:
             for op, arg in rows
             if op == OP_CHUNK_LANDED
         )
-        direct, write = simulator._table.flows
+        direct, write, __ = _two_stage_flows(simulator._table)
         assert direct.fold and write.fold
         assert [landed[direct.fid, job] for job in range(nj)] == [3, 1, 1, 1]
         # the HBM write has no destination cluster: it always folds
@@ -580,8 +593,8 @@ class TestCommunicationFusion:
 # --------------------------------------------------------------------------- #
 #: resnet18 3x64x64 FINAL on 256 clusters, batch 64, contention on: chunks
 #: entering the NoC, and how many of them still take the per-chunk body.
-ZOO_CHUNKS = 10560
-ZOO_PER_CHUNK_ENTRIES = 3069
+ZOO_CHUNKS = 10624
+ZOO_PER_CHUNK_ENTRIES = 3133
 
 
 def _record_entries(monkeypatch):
@@ -627,11 +640,13 @@ class TestClosedFormRuns:
         are closed-form.  The HBM write has no destination cluster."""
         log = _record_entries(monkeypatch)
         program = _run_both(ARCH64, _two_stage(n_chunks=3, n_bytes=3072))
-        direct, write = program.flows
+        direct, write, feed = _two_stage_flows(program)
         fallback = [arg for arg, __, closed_form in log["runs"] if not closed_form]
         closed = [arg for arg, __, closed_form in log["runs"] if closed_form]
         assert _by_flow(program, fallback) == {(direct.fid, 0): 1}
-        assert _by_flow(program, log["per_chunk"]) == {(direct.fid, 0): 3}
+        assert _by_flow(program, log["per_chunk"]) == Counter(
+            {(direct.fid, 0): 3, **{(feed.fid, job): 1 for job in range(4)}}
+        )
         assert _by_flow(program, closed) == Counter(
             [(direct.fid, job) for job in range(1, 4)]
             + [(write.fid, job) for job in range(4)]
@@ -645,19 +660,23 @@ class TestClosedFormRuns:
         )
         log = _record_entries(monkeypatch)
         program = _run_both(arch, _two_stage(n_chunks=3, n_bytes=3072))
-        direct, write = program.flows
+        direct, write, feed = _two_stage_flows(program)
         assert not write.fold
         closed = [arg for arg, __, closed_form in log["runs"] if closed_form]
         assert {fid for fid, __ in _by_flow(program, closed)} == {direct.fid}
         assert _by_flow(program, log["per_chunk"]) == Counter(
-            {(direct.fid, 0): 3, **{(write.fid, job): 3 for job in range(4)}}
+            {
+                (direct.fid, 0): 3,
+                **{(write.fid, job): 3 for job in range(4)},
+                **{(feed.fid, job): 1 for job in range(4)},
+            }
         )
 
     def test_contention_off_enters_every_chunk_alone(self, monkeypatch):
         log = _record_entries(monkeypatch)
         _run_both(ARCH64, _two_stage(n_chunks=3, n_bytes=3072), model_contention=False)
         assert not any(closed_form for __, __, closed_form in log["runs"])
-        assert len(log["per_chunk"]) == 2 * 3 * 4
+        assert len(log["per_chunk"]) == 2 * 3 * 4 + 4
 
     def test_a_burst_out_of_dma_channels_runs_two_and_queues_two(self, monkeypatch):
         """Four chunks on two DMA channels: the two that start at once run
@@ -668,12 +687,55 @@ class TestClosedFormRuns:
         workload = _two_stage(n_chunks=4, n_jobs=2)
         log = _record_entries(monkeypatch)
         program = _run_both(arch, workload)
-        direct, write = program.flows
+        direct, write, feed = _two_stage_flows(program)
         closed = [(arg, count) for arg, count, closed_form in log["runs"] if closed_form]
         assert all(count == 2 for __, count in closed)
         assert _by_flow(program, [arg for arg, __ in closed]) == Counter(
             [(direct.fid, 1), (write.fid, 0), (write.fid, 1)]
         )
         assert _by_flow(program, log["per_chunk"]) == Counter(
-            {(direct.fid, 0): 4, (direct.fid, 1): 2, (write.fid, 0): 2, (write.fid, 1): 2}
+            {
+                (direct.fid, 0): 4,
+                (direct.fid, 1): 2,
+                (write.fid, 0): 2,
+                (write.fid, 1): 2,
+                (feed.fid, 0): 1,
+                (feed.fid, 1): 1,
+            }
         )
+
+
+# --------------------------------------------------------------------------- #
+# Compiled feeds: a closed run is opcode rows only
+# --------------------------------------------------------------------------- #
+def _record_callables(monkeypatch):
+    """Record ``(method, time)`` of every callable the table engine is given."""
+    log = []
+    for name in ("at", "after"):
+
+        def recording(self, time, callback, _name=name, _method=getattr(Engine, name)):
+            log.append((_name, time))
+            _method(self, time, callback)
+
+        monkeypatch.setattr(TableEngine, name, recording)
+    return log
+
+
+class TestCompiledFeeds:
+    def test_a_closed_zoo_run_schedules_no_callable(self, monkeypatch):
+        """External feeds compile to flows, so every event of a closed run
+        is an opcode row."""
+        arch, workload = _zoo_workload("resnet18", (3, 64, 64), "final", 64, 256, None, 256)
+        log = _record_callables(monkeypatch)
+        SystemSimulator(arch, workload).run()
+        assert log == []
+
+    def test_an_open_run_schedules_only_arrival_holds(self, monkeypatch):
+        """On an open workload the one closure left is the wakeup that
+        holds a feed's fetch until its request arrives."""
+        workload = _two_stage(n_chunks=3, n_jobs=16)
+        workload = workload.with_arrivals([3000 * job for job in range(workload.n_jobs)])
+        log = _record_callables(monkeypatch)
+        _run_both(ARCH64, workload)
+        # job 0 arrives at cycle 0; every later fetch waits for its request
+        assert log == [("at", arrival) for arrival in workload.arrival_cycles[1:]]

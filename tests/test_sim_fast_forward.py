@@ -240,6 +240,39 @@ class TestSyntheticPipelines:
             assert ff.fast_forwarded, f"{name}: fast-forward failed to engage"
         assert_identical(full, ff)
 
+    def test_a_digital_only_stage_with_intra_bytes_engages(self):
+        """Only analog stages send partial sums to their digital clusters:
+        a digital-only stage's ``intra_stage_bytes_per_job`` moves nothing
+        on either kernel.  The event ledger reads the compiled flows, so it
+        predicts no intra transfer either, and the contention-free
+        replica path engages (13 replicas exceed the global window cap)."""
+        producer = StageDescriptor(
+            stage_id=0,
+            name="analog",
+            analog_replicas=tuple((cluster,) for cluster in range(13)),
+            cost=StageCost(analog_cycles_per_job=1300, analog_macs_per_job=100),
+            inputs=(DataFlow("hbm", 1024, label="in"),),
+            outputs=(DataFlow("stage", 512, stage_id=1),),
+        )
+        digital = StageDescriptor(
+            stage_id=1,
+            name="digital",
+            digital_clusters=(13,),
+            cost=StageCost(
+                digital_cycles_per_job=150,
+                digital_ops_per_job=10,
+                intra_stage_bytes_per_job=128,
+            ),
+            inputs=(DataFlow("stage", 512, stage_id=0),),
+            outputs=(DataFlow("hbm", 256, label="out"),),
+        )
+        workload = Workload("digital-intra", [producer, digital], n_jobs=256,
+                            batch_size=64, tiles_per_image=4, total_macs=100 * 256)
+        ff = simulate(ARCH64, workload, model_contention=False, fast_forward=True)
+        assert ff.fast_forwarded, ff.fast_forward_refusal
+        full = simulate(ARCH64, workload, model_contention=False, engine="python")
+        assert result_mismatches(full, ff, ignore_provenance=True) == []
+
     def test_fast_forward_false_never_probes(self):
         result = simulate(ARCH64, _chain())
         assert not result.fast_forwarded

@@ -546,6 +546,36 @@ class TestOpenWorkloadEquivalence:
         assert result_mismatches(python, table) == []
 
 
+class TestZeroByteFeed:
+    """An external feed of zero bytes per job is one counted local transfer
+    plus a 0-cycle delivery record that puts the consumer's cluster in
+    first-touch order (``NocModel.transfer_bytes``); the table lane
+    compiles it as a local handoff of size 0."""
+
+    @pytest.mark.parametrize("feeds", [(0,), (0, 512)], ids=["alone", "beside-a-feed"])
+    @pytest.mark.parametrize("open_", [False, True], ids=["closed", "open"])
+    @pytest.mark.parametrize("model_contention", [True, False], ids=["cont", "nocont"])
+    def test_zero_byte_feed_identical_across_engines(self, feeds, open_, model_contention):
+        workload = _chain(n_stages=3, n_jobs=24, analog=120, bytes_per_job=1024)
+        first = dataclasses.replace(
+            workload.stages[0],
+            inputs=tuple(
+                DataFlow("hbm", n_bytes, label=f"in{index}")
+                for index, n_bytes in enumerate(feeds)
+            ),
+        )
+        workload = dataclasses.replace(workload, stages=[first, *workload.stages[1:]])
+        if open_:
+            workload = workload.with_arrivals(
+                PoissonArrivals(mean_interarrival_cycles=150.0, seed=3).generate(
+                    workload.n_jobs
+                )
+            )
+        python = simulate(ARCH64, workload, model_contention, engine="python")
+        table = simulate(ARCH64, workload, model_contention, engine="table")
+        assert result_mismatches(python, table) == []
+
+
 # --------------------------------------------------------------------------- #
 # The fast-forward (its probe always runs the table lane) vs full runs
 # --------------------------------------------------------------------------- #

@@ -4,6 +4,7 @@ import pytest
 
 from repro.arch import ArchConfig
 from repro.sim import (
+    SIMULATION_ENGINES,
     DataFlow,
     SimulationError,
     StageCost,
@@ -89,6 +90,43 @@ class TestWorkloadIR:
         workload.validate(n_clusters=8)
         with pytest.raises(ValueError):
             workload.validate(n_clusters=2)  # cluster index out of range
+
+    @pytest.mark.parametrize("engine", SIMULATION_ENGINES)
+    @pytest.mark.parametrize("flow", ["stage-output", "hbm-input"])
+    def test_a_stage_with_flows_but_no_cluster_is_rejected(self, engine, flow):
+        """A stage's data moves from and to its io_cluster.  Without one,
+        a stage output used to read as an HBM transfer (charging
+        ``hbm_bytes``) and an HBM input failed with a message naming no
+        stage; both engines now refuse the workload up front."""
+        if flow == "stage-output":
+            inputs, outputs = (), (DataFlow("stage", 64, stage_id=1),)
+            consumer_inputs = (DataFlow("stage", 64, stage_id=0),)
+        else:
+            inputs, outputs = (DataFlow("hbm", 64, label="in"),), ()
+            consumer_inputs = ()
+        empty = StageDescriptor(stage_id=0, name="empty", inputs=inputs, outputs=outputs)
+        consumer = StageDescriptor(
+            stage_id=1,
+            name="digital",
+            digital_clusters=(3,),
+            cost=StageCost(digital_cycles_per_job=10),
+            inputs=consumer_inputs,
+        )
+        workload = Workload("no-cluster", [empty, consumer], n_jobs=4, batch_size=4,
+                            tiles_per_image=1)
+        with pytest.raises(ValueError, match=r"stage 0 \(empty\) has data flows"):
+            simulate(ArchConfig.paper(), workload, engine=engine)
+
+    def test_digital_groups_cut_the_clusters_into_slots(self):
+        def groups(clusters, slots):
+            return StageDescriptor(
+                stage_id=0, name="d", digital_clusters=clusters, digital_slots=slots
+            ).digital_groups
+
+        assert groups((4, 5, 6, 7, 8), 2) == ((4, 5, 6), (7, 8))
+        # a slot past the last cluster records on the last one
+        assert groups((4, 5), 3) == ((4,), (5,), (5,))
+        assert groups((), 2) == ((), ())
 
     def test_workload_duplicate_stage_ids_rejected(self):
         stage = StageDescriptor(stage_id=0, name="a")
