@@ -84,9 +84,9 @@ def main() -> None:
     print(f"final stage ({final.name}): first completion at {trace[0]} cycles, "
           f"steady-state interval {deltas[-1]} cycles/job")
 
-    # The steady-state fast-forward produces the same staircase without
-    # simulating every job: it probes a shortened run, certifies the
-    # period, and extrapolates the traces exactly.
+    # The fast-forward produces the same staircase without simulating
+    # every job: once the simulator's state recurs, it jumps the repeating
+    # windows and copies their traces exactly.
     fast = simulation_stage(arch, workload, fast_forward=True, cache=cache)
     identical = fast.stage_completions == result.stage_completions
     print(f"fast-forwarded run: engaged={fast.fast_forwarded}, "

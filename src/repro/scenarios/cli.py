@@ -175,9 +175,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--fast-forward",
         action="store_true",
-        help="enable the exact steady-state fast-forward for every scenario "
-        "(periodic simulations are probed and extrapolated, bit-identical "
-        "results; non-periodic ones run in full) — equivalent to "
+        help="enable the exact fast-forward for every scenario (a run "
+        "jumps ahead once its state recurs, bit-identical results; other "
+        "runs are simulated in full) — equivalent to "
         "fast_forward = true in the spec's [base] table",
     )
     parser.add_argument(

@@ -256,7 +256,7 @@ def simulation_stage(
     that simulate the same point share one simulation, while architectures
     differing only in simulator-visible timing parameters (HBM burst size,
     link latencies) never collide even when they lower to identical IR.
-    ``fast_forward`` enables the exact steady-state fast-forward
+    ``fast_forward`` enables the exact fast-forward
     (:mod:`repro.sim.steady_state`); it changes how the result is computed,
     never its metrics, but keys separately so the persisted
     ``fast_forwarded`` provenance flag stays truthful.  The simulation

@@ -43,6 +43,11 @@ callback, and the object primitives (:class:`~repro.sim.engine.Server`,
 :class:`~repro.sim.engine.CreditStore`) run on this engine as on the
 object kernel.  Every row counts as one event.  The bit-identity gate is
 ``tests/test_sim_kernel_equivalence.py``.
+
+The exact fast-forward (:mod:`repro.sim.steady_state`) reads and moves the
+pending queue between two events: :meth:`TableEngine.pending_rows` lists
+every pending row relative to now, and :meth:`TableEngine.shift` moves all
+of them a number of cycles ahead, in place.  A plain run calls neither.
 """
 
 from __future__ import annotations
@@ -174,6 +179,69 @@ class TableEngine(Engine):
         self._row_cycles.clear()
         self._row_arg.clear()
         self._free_rows.clear()
+
+    # ------------------------------------------------------------------ #
+    # State recurrence (the exact fast-forward)
+    # ------------------------------------------------------------------ #
+    def _pending(self, start: int):
+        """``(delay, bucket)`` pairs in dispatch order: the active bucket's
+        entries from index ``start``, then every pending bucket by time."""
+        now = self._now
+        yield 0, self._active[start:]
+        for time in sorted(self._times):
+            yield time - now, self._buckets[time]
+
+    def pending_signature(self, start: int) -> Tuple[int, Tuple[int, ...]]:
+        """The cheap part of :meth:`pending_rows`: how many rows follow
+        index ``start`` of the active bucket, and every pending bucket's
+        delay from now."""
+        now = self._now
+        tail = sum(type(entry) is int for entry in self._active[start:])
+        return tail, tuple(sorted(time - now for time in self._times))
+
+    def pending_rows(self, start: int) -> List[Tuple[int, int, int, object]]:
+        """Every pending row as ``(delay, op, cycles, arg)``, in dispatch order.
+
+        The active bucket's entries from index ``start`` come first (delay
+        0), then every pending bucket in time order.  Callables are
+        skipped: in a closed run the only ones are the fast-forward's
+        read-only checkpoints.
+        """
+        row_op = self._row_op
+        row_cycles = self._row_cycles
+        row_arg = self._row_arg
+        return [
+            (delay, row_op[entry], row_cycles[entry], row_arg[entry])
+            for delay, bucket in self._pending(start)
+            for entry in bucket
+            if type(entry) is int
+        ]
+
+    def shift(self, start: int, cycles: int, shift_arg) -> None:
+        """Move every pending event ``cycles`` later, in place.
+
+        Called from an event of the active bucket: its entries from index
+        ``start`` move to a new bucket at ``now + cycles``, so :meth:`run`
+        finds the active bucket drained and pops the next time.  Each
+        pending row's argument becomes ``shift_arg(op, arg)``.  The heap and
+        the bucket map are mutated, not replaced, since :meth:`run` holds
+        them.
+        """
+        row_op = self._row_op
+        row_arg = self._row_arg
+        active = self._active
+        moved = {time + cycles: bucket for time, bucket in self._buckets.items()}
+        if len(active) > start:
+            moved[self._now + cycles] = active[start:]
+            del active[start:]
+        for bucket in moved.values():
+            for entry in bucket:
+                if type(entry) is int:
+                    row_arg[entry] = shift_arg(row_op[entry], row_arg[entry])
+        self._buckets.clear()
+        self._buckets.update(moved)
+        # a sorted list is a heap
+        self._times[:] = sorted(moved)
 
     # ------------------------------------------------------------------ #
     # Dispatch

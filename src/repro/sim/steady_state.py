@@ -1,131 +1,69 @@
-"""Steady-state detection and exact fast-forward of periodic pipeline runs.
+"""Exact fast-forward of periodic pipeline runs, by state recurrence.
 
-The pipelined dataflow of the paper's execution model is *periodic* after
-warm-up: with constant per-job costs and self-timed flow control, the whole
-event pattern — job completions, transfers, credit hand-offs — repeats with
-some period of ``W`` jobs and ``D`` cycles.  Once the pattern repeats, the
-remaining jobs are redundant simulation work: running ``W`` more jobs shifts
-everything after the insertion point by exactly ``D`` cycles and adds
-exactly one window's worth of activity and traffic.
+The pipelined dataflow of the paper's execution model repeats itself after
+warm-up: with constant per-job costs and self-timed flow control, the
+simulator's whole state comes back, shifted by some ``W`` jobs and ``D``
+cycles.  The table lane is deterministic, so from then on the run repeats
+too, until the end of the job stream is in sight.
 
-:func:`fast_forward_simulate` exploits this *without approximating*, along
-two certification paths:
+:func:`fast_forward_simulate` runs the table lane once and watches for that
+recurrence.  When the final stage's completion count ``ref`` reaches a
+multiple of ``L``, the lcm of every stage's round-robin widths
+(:func:`_round_robin_period`), it schedules a read-only same-cycle
+*checkpoint*, which renders the lane's full state relative to now and to
+job ``ref`` (:meth:`TableProgram.recurrence_key`).  When two
+checkpoints ``W`` jobs and ``D`` cycles apart have equal keys, it moves the
+state ``k`` windows ahead in place (:meth:`TableProgram.jump`), adds the
+skipped windows to every additive record and completion trace
+(:meth:`TableProgram.repeat_window`) and lets the run finish for real.
+``k`` leaves the skipped windows, and the first window after the jump,
+clear of every ``< n_jobs`` check.  That is a proof by determinism, not an
+observation of outputs, and it holds under NoC contention; every result is
+the full run's, bit for bit.  ``docs/simulator.md`` gives the argument.
 
-1. **Global path.** Simulate a shortened copy of the workload (a few dozen
-   jobs), snapshot every recorded quantity at each final-stage completion,
-   and find the smallest window ``W ≤ MAX_WINDOW`` whose per-window
-   increments are identical over :data:`MIN_WINDOWS` consecutive windows.
-   All stages share one anchor; extrapolation shifts the probe's drain tail
-   and adds ``t×`` the certified window increment to every counter.
-
-2. **Replica-symmetry path** (``model_contention=False`` only).  The
-   paper's headline FINAL mapping replicates stages 33/9/3-way, so its
-   effective window ``lcm(replication, digital_slots)`` exceeds
-   ``MAX_WINDOW`` and the global path refuses.  Replicas of a stage are
-   timing-interchangeable under round-robin dispatch, so each stage's
-   completion trace is periodic with *its own* window and anchor (an
-   upstream stage may free-run several jobs ahead of a late bottleneck).
-   The replica path certifies every stage at its own anchor, rebuilds the
-   probe's event population from an exact per-stage/per-phase ledger read
-   off the probe's compiled program (verified event-for-event against the
-   probe), extends every completion trace by integer recurrence, and
-   re-derives per-cluster busy horizons from the certified event families.
-   Any mismatch — ledger vs. probe, a non-periodic event family, a producer
-   whose run-ahead would hit its credit ceiling beyond the probe — refuses
-   the fast-forward instead of risking a wrong answer.
-
-Both paths are exact: integer arithmetic throughout, and the result is
-bit-identical to the full run (asserted over the model zoo and the FINAL
-ResNet-18 mapping in ``tests/test_sim_fast_forward.py``).
-
-When certification fails the function returns a typed
-:class:`FastForwardRefusal` naming the reason (see
-:data:`REFUSAL_REASONS`); :func:`repro.sim.system.simulate` then falls back
-to the full event-driven simulation and attaches the refusal to the result,
-so ``fast_forward=True`` is always safe, merely not always faster.  See
-``docs/simulator.md`` for the correctness argument.
+A run whose state never recurs early enough simply finishes: a refusal
+costs the checkpoints, not a second run.  The result then carries a typed
+:class:`FastForwardRefusal` naming why.
 """
 
 from __future__ import annotations
 
-import bisect
 import logging
 import math
-from collections import Counter
-
-import numpy as np
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Optional, Set, Tuple
 
 from ..arch.config import ArchConfig
 from .system import SimulationResult, SystemSimulator
-from .system_table import F_DIRECT, F_FEED, TableProgram
-from .workload import (
-    ENDPOINT_HBM,
-    ENDPOINT_STAGE,
-    ENDPOINT_STORAGE,
-    Workload,
-)
+from .workload import Workload
 
 logger = logging.getLogger(__name__)
-
-#: below this job count a probe costs about as much as the full run.
-MIN_JOBS = 48
-
-#: aimed probe size, in jobs; the probe must contain the pipeline fill plus
-#: at least ``(MIN_WINDOWS + 1)`` steady windows plus the drain.
-PROBE_TARGET = 24
-
-#: the probe size is chosen ``≡ n_jobs (mod PROBE_ALIGN)`` so that every
-#: window length dividing this value yields an integer window count without
-#: a second probe (global path only; the per-stage path needs no alignment).
-PROBE_ALIGN = 12
-
-#: largest candidate window (jobs) considered by the global detector.
-MAX_WINDOW = 12
-
-#: consecutive identical windows required to certify steadiness.
-MIN_WINDOWS = 3
 
 # --------------------------------------------------------------------- #
 # Typed refusals
 # --------------------------------------------------------------------- #
 
-#: the workload's effective window exceeds what the active path can certify.
-REFUSAL_WINDOW_TOO_LARGE = "window-too-large"
-#: arrival-driven workload: a probe sees only the schedule's prefix.
+#: arrival-driven workload: the arrival schedule reads absolute times and
+#: job indices, so the state never recurs.
 REFUSAL_OPEN_WORKLOAD = "open-workload"
-#: the probe ran but some quantity failed periodicity certification.
+#: the run finished without a state recurrence far enough from its end.
 REFUSAL_NON_PERIODIC = "non-periodic-probe"
-#: the run is too short for a probe to amortise (or to settle).
-REFUSAL_PROBE_TOO_SHORT = "probe-too-short"
-#: a free-running producer would hit its credit ceiling beyond the probe,
-#: changing the event pattern after the certified region.
-REFUSAL_FREE_RUN_HORIZON = "free-run-horizon"
 
 #: every reason a :class:`FastForwardRefusal` may carry.
-REFUSAL_REASONS = (
-    REFUSAL_WINDOW_TOO_LARGE,
-    REFUSAL_OPEN_WORKLOAD,
-    REFUSAL_NON_PERIODIC,
-    REFUSAL_PROBE_TOO_SHORT,
-    REFUSAL_FREE_RUN_HORIZON,
-)
+REFUSAL_REASONS = (REFUSAL_OPEN_WORKLOAD, REFUSAL_NON_PERIODIC)
 
 
 @dataclass(frozen=True)
 class FastForwardRefusal:
-    """A structured explanation of why fast-forward did not engage.
+    """Why a requested fast-forward did not engage.
 
-    ``reason`` is one of :data:`REFUSAL_REASONS`; ``detail`` is a free-form
-    human-readable elaboration; ``probes`` records every probe attempt and
-    rejected candidate window, so coverage cliffs are visible instead of
-    silently degrading to the full run.
+    ``reason`` is one of :data:`REFUSAL_REASONS`; ``detail`` is a
+    human-readable elaboration (checkpoints taken, signature repeats, or
+    the recurrence that came too late).
     """
 
     reason: str
     detail: str = ""
-    probes: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.reason not in REFUSAL_REASONS:
@@ -135,1488 +73,114 @@ class FastForwardRefusal:
         return f"{self.reason}: {self.detail}" if self.detail else self.reason
 
     def to_payload(self) -> Dict[str, object]:
-        return {
-            "reason": self.reason,
-            "detail": self.detail,
-            "probes": list(self.probes),
-        }
+        return {"reason": self.reason, "detail": self.detail}
 
     @classmethod
     def from_payload(cls, payload: Dict[str, object]) -> "FastForwardRefusal":
-        return cls(
-            reason=str(payload["reason"]),
-            detail=str(payload.get("detail", "")),
-            probes=tuple(payload.get("probes", ())),
-        )
+        return cls(reason=str(payload["reason"]), detail=str(payload.get("detail", "")))
 
 
-_ClusterSnap = Dict[int, Tuple[int, int, int, int, int, int]]
-_StageSnap = Dict[int, Tuple]
-_LinkSnap = Dict[str, int]
+def _round_robin_period(workload: Workload) -> int:
+    """``L``: the lcm over stages of ``lcm(replication, digital_slots)``.
 
-
-class _ProbeSimulator(SystemSimulator):
-    """A table-lane simulator that snapshots state at final-stage completions.
-
-    Snapshots are taken at identical event positions (the ``job_finished``
-    call of the final stage), so window-to-window comparisons are exact.
+    Apart from the ``< n_jobs`` checks, ``job % replication`` and
+    ``job % digital_slots`` are the lane's only reads of an absolute job
+    index, so a shift by a multiple of ``L`` jobs leaves them unchanged.
     """
+    return math.lcm(
+        *(math.lcm(stage.replication, stage.digital_slots) for stage in workload.stages)
+    )
+
+
+class _RecurrenceSimulator(SystemSimulator):
+    """A table-lane simulator that jumps ahead on the first state recurrence."""
 
     def __init__(self, arch, workload, model_contention, buffer_depth):
         super().__init__(
-            arch,
-            workload,
-            model_contention=model_contention,
-            buffer_depth=buffer_depth,
-            engine="table",
+            arch, workload, model_contention=model_contention, buffer_depth=buffer_depth
         )
-        self._final_stage_id = workload.final_stage().stage_id
-        #: (now, hbm_bytes, noc_bytes, noc_byte_hops, local_bytes, n_transfers)
-        self.counter_snaps: List[Tuple[int, ...]] = []
-        self.cluster_snaps: List[_ClusterSnap] = []
-        self.stage_snaps: List[_StageSnap] = []
-        self.link_snaps: List[_LinkSnap] = []
+        self._final_id = workload.final_stage().stage_id
+        self._period = _round_robin_period(workload)
+        self._signatures: Set[tuple] = set()
+        #: full key -> (ref, cycle, additive records) of its checkpoint
+        self._keys: Dict[tuple, Tuple[int, int, tuple]] = {}
+        self.checkpoints = 0
+        self.repeats = 0
+        #: ``(W, D, k)`` of the recurrence found, once one is (``k < 1``:
+        #: too close to the end to jump)
+        self.recurrence: Optional[Tuple[int, int, int]] = None
 
     def job_finished(self, stage_id: int, job_index: int) -> None:
         super().job_finished(stage_id, job_index)
-        if stage_id == self._final_stage_id:
-            # clusters/links come from the table lane's dense mid-run
-            # vectors, which only materialise into the tracer at the end
-            counters, clusters, stages, links = self._table.snapshot_activity()
-            self.counter_snaps.append(counters)
-            self.cluster_snaps.append(clusters)
-            self.stage_snaps.append(stages)
-            self.link_snaps.append(links)
+        if (
+            stage_id == self._final_id
+            and self.recurrence is None
+            and self._ref() % self._period == 0
+        ):
 
+            def checkpoint() -> None:
+                self._checkpoint(checkpoint)
 
-@dataclass
-class _Plan:
-    """A certified extrapolation: window, period and per-quantity deltas."""
+            self.engine.at(self.engine._now, checkpoint)
 
-    window: int  # W, in jobs
-    period: int  # D, in cycles
-    anchor: int  # final-completion index the deltas were measured at
-    counter_delta: Tuple[int, ...]  # per-window (D, hbm, noc, hops, local, transfers)
-    #: per-stage head length: trace[:head] is kept verbatim, the periodic
-    #: block is inserted there, trace[head:] is the drain tail (shifted).
-    stage_heads: Dict[int, int]
+    def _ref(self) -> int:
+        """``ref``: the final stage's completion count."""
+        return self._table._by_sid[self._final_id].jobs_completed
 
-
-def _rightmost_periodic_run(deltas: List, window: int) -> Optional[int]:
-    """Last delta index ``e`` with ``≥ MIN_WINDOWS·window`` periodic deltas.
-
-    ``deltas[j]`` is periodic when it equals ``deltas[j - window]``.  The
-    scan walks from the end of the run (skipping the drain tail, whose
-    deltas genuinely deviate) and returns the end index of the rightmost
-    run of consecutive periodic deltas long enough to certify steadiness,
-    or ``None``.
-    """
-    need = MIN_WINDOWS * window
-    j = len(deltas) - 1
-    while j - window >= 0:
-        if deltas[j] == deltas[j - window]:
-            end = j
-            while j - window >= 0 and deltas[j] == deltas[j - window]:
-                j -= 1
-            if end - j >= need:
-                return end
-            # run too short: resume the scan below it
-        else:
-            j -= 1
-    return None
-
-
-def _deltas(values: List) -> List:
-    return [
-        tuple(b - a for a, b in zip(x, y)) if isinstance(x, tuple) else y - x
-        for x, y in zip(values, values[1:])
-    ]
-
-
-def _analyze(probe: _ProbeSimulator, result: SimulationResult, window: int) -> Optional[_Plan]:
-    """Certify periodicity of one probe run at one candidate window."""
-    b = result.workload.n_jobs
-    snaps = probe.counter_snaps
-    if len(snaps) != b:
-        return None
-    counter_deltas = _deltas(snaps)
-    end = _rightmost_periodic_run(counter_deltas, window)
-    if end is None:
-        return None
-    anchor = end + 1  # snapshot index whose preceding window is certified
-    if anchor - 2 * window < 0:
-        return None
-    counter_delta = tuple(
-        a - c for a, c in zip(snaps[anchor], snaps[anchor - window])
-    )
-    period = counter_delta[0]
-    if period <= 0:
-        return None
-
-    # every stage's completion trace must be periodic with the same period
-    anchor_time = snaps[anchor][0]
-    stage_heads: Dict[int, int] = {}
-    for stage_id in result.jobs_completed:
-        trace = result.tracer.stage_completions.get(stage_id, ())
-        if len(trace) != b:
-            return None
-        trace_deltas = [y - x for x, y in zip(trace, trace[1:])]
-        trace_end = _rightmost_periodic_run(trace_deltas, window)
-        if trace_end is None:
-            return None
-        head = trace_end + 2  # trace[:head] ends inside the certified region
-        if head - 1 - window < 0 or trace[head - 1] - trace[head - 1 - window] != period:
-            return None
-        # the full run repeats the window right after the anchor, so every
-        # probe completion between the anchor and the head must too: a
-        # periodic-looking run *after* a drain deviation is not the steady
-        # state, and splicing there would keep the deviation in the head
-        first = bisect.bisect_right(trace, anchor_time)
-        for j in range(max(first, window), head):
-            if trace[j] - trace[j - window] != period:
-                return None
-        stage_heads[stage_id] = head
-
-    # per-cluster, per-stage and per-link activity must grow by the same
-    # amount over the two certified windows before the anchor
-    if not _verify_window_increments(probe, anchor, window, period):
-        return None
-    return _Plan(
-        window=window,
-        period=period,
-        anchor=anchor,
-        counter_delta=counter_delta,
-        stage_heads=stage_heads,
-    )
-
-
-def _verify_window_increments(
-    probe: _ProbeSimulator, anchor: int, window: int, period: int
-) -> bool:
-    """Check that every activity dict grew identically over the last two
-    certified windows (the second-difference test)."""
-    c0 = probe.cluster_snaps[anchor - 2 * window]
-    c1 = probe.cluster_snaps[anchor - window]
-    c2 = probe.cluster_snaps[anchor]
-    zero6 = (0, 0, 0, 0, 0, 0)
-    for cid in c2:
-        s0 = c0.get(cid, zero6)
-        s1 = c1.get(cid, zero6)
-        s2 = c2[cid]
-        # additive fields: analog, digital, communication, sync, jobs
-        for i in range(5):
-            if s2[i] - s1[i] != s1[i] - s0[i]:
-                return False
-        # last_busy_cycle either advances by exactly one period per window
-        # (the cluster is active in steady state) or stands still
-        d1, d2 = s1[5] - s0[5], s2[5] - s1[5]
-        if d2 != d1 or d2 not in (0, period):
-            return False
-    g0 = probe.stage_snaps[anchor - 2 * window]
-    g1 = probe.stage_snaps[anchor - window]
-    g2 = probe.stage_snaps[anchor]
-    for sid in g2:
-        s0, s1, s2 = g0.get(sid), g1.get(sid), g2[sid]
-        if s0 is None or s1 is None:
-            return False
-        if s2[0] - s1[0] != window or s1[0] - s0[0] != window:
-            return False  # every stage completes exactly W jobs per window
-        for i in (1, 2, 3, 4):
-            if s2[i] - s1[i] != s1[i] - s0[i]:
-                return False
-        if not (s0[5] == s1[5] == s2[5]):
-            return False  # first_job_start is settled during the fill
-        if s2[6] - s1[6] != period or s1[6] - s0[6] != period:
-            return False
-    l0 = probe.link_snaps[anchor - 2 * window]
-    l1 = probe.link_snaps[anchor - window]
-    l2 = probe.link_snaps[anchor]
-    for link in l2:
-        if l2[link] - l1.get(link, 0) != l1.get(link, 0) - l0.get(link, 0):
-            return False
-    return True
-
-
-def _extrapolate(
-    probe: _ProbeSimulator,
-    result: SimulationResult,
-    plan: _Plan,
-    workload: Workload,
-) -> SimulationResult:
-    """Advance the probe result by ``t`` certified windows, in place."""
-    b = result.workload.n_jobs
-    n = workload.n_jobs
-    window, period = plan.window, plan.period
-    t = (n - b) // window
-    shift = t * period
-    tracer = result.tracer
-
-    # aggregate traffic counters
-    __, d_hbm, d_noc, d_hops, d_local, d_transfers = plan.counter_delta
-    tracer.hbm_bytes += t * d_hbm
-    tracer.noc_bytes += t * d_noc
-    tracer.noc_byte_hops += t * d_hops
-    tracer.local_bytes += t * d_local
-    tracer.n_transfers += t * d_transfers
-    tracer.makespan += shift
-
-    # per-cluster activity
-    c1 = probe.cluster_snaps[plan.anchor - window]
-    c2 = probe.cluster_snaps[plan.anchor]
-    zero6 = (0, 0, 0, 0, 0, 0)
-    for cid, act in tracer.clusters.items():
-        s1 = c1.get(cid, zero6)
-        s2 = c2.get(cid, zero6)
-        act.analog += t * (s2[0] - s1[0])
-        act.digital += t * (s2[1] - s1[1])
-        act.communication += t * (s2[2] - s1[2])
-        act.synchronization += t * (s2[3] - s1[3])
-        act.jobs += t * (s2[4] - s1[4])
-        # shift the last-activity cycle when the cluster is still active at
-        # (or after) the anchor; fill-only clusters keep theirs untouched
-        if act.last_busy_cycle > s2[5] or s2[5] - s1[5] == period:
-            act.last_busy_cycle += shift
-
-    # per-stage activity records
-    g1 = probe.stage_snaps[plan.anchor - window]
-    g2 = probe.stage_snaps[plan.anchor]
-    for sid, rec in tracer.stages.items():
-        s1, s2 = g1[sid], g2[sid]
-        rec.jobs_completed += t * window
-        rec.analog_busy += t * (s2[1] - s1[1])
-        rec.digital_busy += t * (s2[2] - s1[2])
-        rec.input_stall += t * (s2[3] - s1[3])
-        rec.output_stall += t * (s2[4] - s1[4])
-        rec.last_job_end += shift
-
-    # per-link busy cycles
-    l1 = probe.link_snaps[plan.anchor - window]
-    l2 = probe.link_snaps[plan.anchor]
-    for link, busy in l2.items():
-        tracer.link_busy[link] += t * (busy - l1.get(link, 0))
-
-    # per-stage completion traces: head + t periodic windows + shifted tail
-    for sid, trace in tracer.stage_completions.items():
-        head = plan.stage_heads[sid]
-        new_trace = list(trace[:head])
-        for __ in range(t * window):
-            new_trace.append(new_trace[-window] + period)
-        for j in range(head, b):
-            new_trace.append(trace[j] + shift)
-        tracer.stage_completions[sid] = new_trace
-
-    final_stage_id = workload.final_stage().stage_id
-    final_trace = tracer.stage_completions[final_stage_id]
-    result.workload = workload
-    result.makespan_cycles = tracer.makespan
-    result.jobs_completed = {sid: n for sid in result.jobs_completed}
-    result.final_stage_completions = tuple(final_trace[-2:])
-    result.fast_forwarded = True
-    return result
-
-
-def _probe_size(n: int, align: int, target: int) -> int:
-    """Smallest probe size ``≡ n (mod align)`` at or above ``target``."""
-    return n - align * ((n - target) // align)
-
-
-def _run_probe(
-    arch: ArchConfig,
-    workload: Workload,
-    b: int,
-    model_contention: bool,
-    buffer_depth: int,
-) -> Tuple[_ProbeSimulator, SimulationResult]:
-    probe = _ProbeSimulator(
-        arch, workload.with_n_jobs(b), model_contention, buffer_depth
-    )
-    return probe, probe.run()
-
-
-def _global_fast_forward(
-    arch: ArchConfig,
-    workload: Workload,
-    model_contention: bool,
-    buffer_depth: int,
-    attempts: List[str],
-) -> Optional[SimulationResult]:
-    """The single-anchor certification path (windows ``≤ MAX_WINDOW``).
-
-    Returns the extrapolated result, or ``None`` when no global window
-    certifies; every probe attempt and every rejected candidate window is
-    appended to ``attempts`` (and logged) so refusals carry a full record.
-    """
-    n = workload.n_jobs
-    # probe sizing: start near PROBE_TARGET; if certification fails —
-    # typically because the probe is shorter than the pipeline's fill plus
-    # drain, so no window exists in which *every* stage runs at the
-    # bottleneck rate — escalate once to a depth-scaled probe.  A probe
-    # costing more than half the full run cannot pay for itself.
-    targets = (PROBE_TARGET, PROBE_TARGET + 2 * len(workload.stages))
-    probes_run = 0
-    for target in targets:
-        if target > n // 2 or probes_run >= 2:
-            break
-        b = _probe_size(n, PROBE_ALIGN, target)
-        if b >= n or b > n // 2:
-            attempts.append(f"global probe b={b} skipped: exceeds n/2={n // 2}")
-            break
-        probe, result = _run_probe(arch, workload, b, model_contention, buffer_depth)
-        probes_run += 1
-        logger.info("fast-forward global probe: b=%d", b)
-        if not result.completed:
-            attempts.append(f"global probe b={b}: probe run did not complete")
-            return None
-        rejected: List[int] = []
-        uncertified: Optional[int] = None
-        for window in range(1, MAX_WINDOW + 1):
-            if (n - b) % window == 0:
-                plan = _analyze(probe, result, window)
-                if plan is not None:
-                    attempts.append(
-                        f"global probe b={b}: certified W={window} D={plan.period}"
-                    )
-                    return _extrapolate(probe, result, plan, workload)
-                rejected.append(window)
-            elif uncertified is None and _analyze(probe, result, window) is not None:
-                uncertified = window
-        attempts.append(
-            f"global probe b={b}: rejected windows {rejected}"
-            + (f"; W={uncertified} certifies but does not divide n-b" if uncertified else "")
-        )
+    def _checkpoint(self, entry) -> None:
+        # a later completion in this cycle may have moved ``ref`` on
+        ref = self._ref()
+        if self.recurrence is not None or ref % self._period:
+            return
+        table = self._table
+        self.checkpoints += 1
+        engine = self.engine
+        active = engine._active
+        start = next(index for index, item in enumerate(active) if item is entry) + 1
+        signature = table.recurrence_signature(start, ref)
+        if signature not in self._signatures:
+            # equal keys have equal signatures: a first signature cannot
+            # match any earlier key, so its key is never built
+            self._signatures.add(signature)
+            return
+        self.repeats += 1
+        key, lo, hi = table.recurrence_key(start, ref)
+        now = engine._now
+        seen = self._keys.get(key)
+        if seen is None:
+            self._keys[key] = (ref, now, table.additive_records())
+            return
+        then_ref, then, records = seen
+        window, cycles = ref - then_ref, now - then
+        # ``hi + 1``: the largest job index a ``< n_jobs`` check can see
+        # next (a feed requests the job after its last delivery)
+        k = (self.workload.n_jobs - 1 - (hi + 1)) // window - 1
+        self.recurrence = (window, cycles, k)
+        self._keys.clear()
+        if k < 1:
+            return
+        table.repeat_window(records, k, cycles)
+        table.jump(start, lo, k * window, k * cycles)
         logger.info(
-            "fast-forward global probe b=%d: rejected windows %s", b, rejected
+            "fast-forward: the state at job %d recurs after W=%d jobs, D=%d "
+            "cycles; jumping %d windows",
+            ref,
+            window,
+            cycles,
+            k,
         )
-        if uncertified is not None:
-            # the pipeline is periodic, but the window does not divide the
-            # remaining job count: re-probe once at an aligned size
-            window = uncertified
-            b2 = n - window * ((n - target) // window)
-            if b2 < n and b2 != b and b2 <= n // 2:
-                attempts.append(
-                    f"global escalation: re-probe b={b2} aligned to W={window}"
-                )
-                logger.info(
-                    "fast-forward global escalation: b=%d aligned to W=%d", b2, window
-                )
-                probe, result = _run_probe(
-                    arch, workload, b2, model_contention, buffer_depth
-                )
-                if result.completed:
-                    plan = _analyze(probe, result, window)
-                    if plan is not None:
-                        attempts.append(
-                            f"global probe b={b2}: certified W={window} D={plan.period}"
-                        )
-                        return _extrapolate(probe, result, plan, workload)
-                attempts.append(f"global probe b={b2}: W={window} no longer certifies")
-            return None
-    return None
 
-
-# --------------------------------------------------------------------- #
-# Replica-symmetry path
-# --------------------------------------------------------------------- #
-#
-# The global path needs one window in which *every* quantity repeats, so a
-# stage replicated R ways forces W ≥ lcm(R, digital_slots) on the whole
-# pipeline.  Under ``model_contention=False`` the interconnect is stateless
-# (every transfer takes its zero-load latency), so stages only couple
-# through explicit flow control; replicas of a stage are interchangeable
-# under round-robin dispatch, and each stage settles into its *own*
-# periodic pattern — window G_s jobs, period P_s cycles — at its own
-# anchor.  The replica path certifies those per-stage patterns directly on
-# the completion traces, then re-derives everything else (counters, link
-# busy, per-cluster activity and busy horizons) from an exact event ledger
-# read off the probe's compiled flows, verified event-for-event against the
-# probe before it is trusted.
-
-
-class _RecordingProgram(TableProgram):
-    """A table program that records per-family event end cycles.
-
-    Each handler override appends the event's end cycle to a
-    per-``(cluster, category, cycles)`` substream, then delegates to the
-    compiled handler.  Recording comes first because a handler may recurse
-    synchronously into another recorded one (``_after_compute`` → job
-    done → next job start → ``_run_digital`` → ``_after_compute`` when a
-    stage has no digital work), and each substream must stay in event
-    order.  Grouping by the recorded cycle count separates event families
-    with different causes (e.g. a DMA burst vs. a delivery attribution):
-    families with equal signatures merge, which the certifier handles by
-    dominant-rate analysis.  The handlers are registered as bound methods
-    in :meth:`TableProgram.build`, so the overrides are picked up without
-    a hook and a plain table run executes none of this.
-    """
-
-    def __init__(self, sim: SystemSimulator) -> None:
-        super().__init__(sim)
-        #: (cluster_id, category, cycles) -> end cycles, in record order.
-        self.substreams: Dict[Tuple[int, str, int], List[int]] = {}
-        #: stage_id -> per-job compute-end cycles, in completion order.
-        self.stage_ends: Dict[int, List[int]] = {}
-
-    def _record(self, cluster: int, category: str, cycles: int, end: int) -> None:
-        key = (cluster, category, cycles)
-        stream = self.substreams.get(key)
-        if stream is None:
-            stream = self.substreams[key] = []
-        stream.append(end)
-
-    def _op_analog_done(self, arg: int) -> None:
-        st = self.stages[arg // self._nj]
-        now = self.engine._now
-        for cluster in st.replicas[(arg % self._nj) % st.repl]:
-            self._record(cluster, "analog", st.analog_d, now)
-        super()._op_analog_done(arg)
-
-    def _op_digital_done(self, arg: int) -> None:
-        st = self.stages[arg // self._nj]
-        now = self.engine._now
-        for cluster in st.digital_groups[(arg % self._nj) % st.dslots]:
-            self._record(cluster, "digital", st.digital_d, now)
-        super()._op_digital_done(arg)
-
-    def _op_chunk_landed(self, arg: int) -> None:
-        group = self.groups[arg // self._nj]
-        if group.dst is not None:
-            self._record(group.dst, "communication", group.comm_cycles, self.engine._now)
-        super()._op_chunk_landed(arg)
-
-    def _record_comm(self, cluster: int, cycles: int, end: int) -> None:
-        self._record(cluster, "communication", cycles, end)
-        super()._record_comm(cluster, cycles, end)
-
-    def _after_compute(self, st, job: int, digital_cycles: int) -> None:
-        ends = self.stage_ends.get(st.sid)
-        if ends is None:
-            ends = self.stage_ends[st.sid] = []
-        ends.append(self.engine._now)
-        super()._after_compute(st, job, digital_cycles)
-
-
-def _run_replica_probe(
-    arch: ArchConfig, workload: Workload, buffer_depth: int
-) -> Tuple[_RecordingProgram, SimulationResult]:
-    """Run ``workload`` contention-free on a recording table program."""
-    simulator = SystemSimulator(
-        arch,
-        workload,
-        model_contention=False,
-        buffer_depth=buffer_depth,
-        engine="table",
-    )
-    probe = simulator._table = _RecordingProgram(simulator)
-    return probe, simulator.run()
-
-
-@dataclass
-class _Contrib:
-    """One event family's contribution of a single (stage, bound) source.
-
-    ``class_sid`` names the stage whose steady rate paces these events —
-    their inter-event spacing in the settled tail follows that stage's
-    certified (G, P).  ``bound`` is a sound upper bound on every event of
-    the family for job ``j``: ``("E", sid)`` bounds by that stage's per-job
-    compute end (valid for input-side deliveries, which must land before
-    the consuming job starts), ``("T", sid)`` by its completion (valid for
-    producer-side records, which the producer's job-done barrier awaits).
-    """
-
-    class_sid: int
-    bound: Tuple[str, int]
-    per_job: int = 0  # phase-independent events per job
-    q: int = 0  # phase modulus of ``phases`` (0 when unused)
-    phases: Optional[List[int]] = None  # events for jobs with j % q == p
-    #: merged-group key ``(contrib_key, category, cycles)`` of a family on
-    #: the *same cluster* whose job-matched events provably end at or after
-    #: this contribution's (e.g. the relay read issued by a storage write):
-    #: when that group is certified, this contribution needs no bound.
-    dominator: Optional[Tuple] = None
-
-
-def _phase_count(x: int, p: int, q: int) -> int:
-    """Number of jobs ``j < x`` with ``j % q == p``."""
-    return (x - p + q - 1) // q
-
-
-def _contrib_count(contrib: _Contrib, lo: int, hi: int) -> int:
-    """Events this contribution produces over jobs ``[lo, hi)``."""
-    total = (hi - lo) * contrib.per_job
-    if contrib.phases is not None:
-        q = contrib.q
-        for p, k in enumerate(contrib.phases):
-            if k:
-                total += (_phase_count(hi, p, q) - _phase_count(lo, p, q)) * k
-    return total
-
-
-class _EventLedger:
-    """Exact per-stage model of every tracer record and traffic counter.
-
-    The ledger reads the probe's compiled program — each stage's analog
-    replicas and digital groups, and each flow's chunk groups (DMA and
-    delivery cycles, serialization, route, destination) — and predicts,
-    for each ``(cluster, category, cycles)`` event family, how many events
-    each stage contributes per job (or per phase of its
-    ``lcm(replication, digital_slots)`` round-robin), plus the per-job
-    traffic-counter and per-link increments.  Before extrapolation the
-    prediction is verified *exactly* against the probe's recorded state;
-    any mismatch refuses the fast-forward.
-    """
-
-    def __init__(self, probe: TableProgram):
-        self._link_names = probe._link_names
-        #: (cluster, category, cycles) -> contribution per (class_sid, bound)
-        self.groups: Dict[Tuple[int, str, int], Dict[Tuple, _Contrib]] = {}
-        #: stage -> per-phase traffic counters [hbm, noc, hops, local, transfers]
-        self.phase_counters: Dict[int, List[List[int]]] = {}
-        self.phase_links: Dict[int, List[Dict[str, int]]] = {}
-        #: stage -> phase-independent per-job counters / link busy
-        self.flat_counters: Dict[int, List[int]] = {}
-        self.flat_links: Dict[int, Dict[str, int]] = {}
-        #: cluster -> stages whose steady rate drives its DMA engine
-        self.dma_pacers: Dict[int, Set[int]] = {}
-        self._build(probe)
-
-    # -- contribution plumbing ------------------------------------------ #
-    def _event(
-        self,
-        cid: int,
-        category: str,
-        cycles: int,
-        contrib_key: Tuple,
-        count: int = 1,
-        phase: Optional[int] = None,
-        q: int = 0,
-        dominator: Optional[Tuple] = None,
-    ) -> None:
-        key = (cid, category, int(cycles))
-        group = self.groups.get(key)
-        if group is None:
-            group = self.groups[key] = {}
-        contrib = group.get(contrib_key)
-        if contrib is None:
-            class_sid, bound = contrib_key
-            contrib = group[contrib_key] = _Contrib(
-                class_sid, bound, dominator=dominator
-            )
-        elif contrib.dominator != dominator:
-            # a contribution is dominated only if *every* emission feeding
-            # it agrees on the dominating family; otherwise fall back to
-            # its completion-time bound
-            contrib.dominator = None
-        if phase is None:
-            contrib.per_job += count
-        else:
-            if contrib.phases is None:
-                contrib.q = q
-                contrib.phases = [0] * q
-            contrib.phases[phase] += count
-
-    def _flow(
-        self,
-        flow,
-        src_key: Tuple,
-        dst_key: Tuple,
-        counters: List[int],
-        links: Dict[str, int],
-        phase: Optional[int] = None,
-        q: int = 0,
-        dst_dominator: Optional[Tuple] = None,
-    ) -> None:
-        """Records and traffic of one job of a compiled flow.
-
-        Each chunk group gives one source-side record of ``dma_dur *
-        count`` cycles (the table lane fuses a group's DMA bursts), then
-        ``count`` transfers and ``count`` delivery records.
-        """
-        src = flow.src
-        names = self._link_names
-        for group in flow.groups:
-            count = group.count
-            if src is not None:
-                dma = group.dma_dur * count
-                self._event(src, "communication", dma, src_key, 1, phase, q)
-                self.dma_pacers.setdefault(src, set()).add(src_key[0])
-            plan = group.plan
-            counters[4] += count
-            if plan is None:
-                counters[3] += group.size * count
-            else:
-                counters[1] += group.size * count
-                counters[2] += group.byte_hops * count
-                if plan.involves_hbm:
-                    counters[0] += group.size * count
-                for lid in plan.lids:
-                    links[names[lid]] = links.get(names[lid], 0) + group.ser * count
-            if group.dst is not None:
-                self._event(
-                    group.dst,
-                    "communication",
-                    group.comm_cycles,
-                    dst_key,
-                    count,
-                    phase,
-                    q,
-                    dominator=dst_dominator,
-                )
-
-    # -- program walk ---------------------------------------------------- #
-    def _build(self, probe: TableProgram) -> None:
-        feeds: Dict[int, List] = {}
-        for flow in probe.flows:
-            if flow.kind == F_FEED:
-                feeds.setdefault(flow.consumer.sid, []).append(flow)
-        for st in probe.stages:
-            sid = st.sid
-            q_eff = math.lcm(st.repl, st.dslots)
-            pc = self.phase_counters[sid] = [[0] * 5 for __ in range(q_eff)]
-            pl = self.phase_links[sid] = [{} for __ in range(q_eff)]
-            fc = self.flat_counters[sid] = [0] * 5
-            fl = self.flat_links[sid] = {}
-            own_t = (sid, ("T", sid))
-            own_e = (sid, ("E", sid))
-            for p in range(q_eff):
-                if st.is_analog:
-                    for cluster in st.replicas[p % st.repl]:
-                        self._event(cluster, "analog", st.analog_d, own_e, 1, p, q_eff)
-                if st.intra_flows is not None:
-                    self._flow(
-                        st.intra_flows[p % st.repl], own_t, own_e, pc[p], pl[p], p, q_eff
-                    )
-                if st.digital_d > 0:
-                    for cluster in st.digital_groups[p % st.dslots]:
-                        self._event(cluster, "digital", st.digital_d, own_e, 1, p, q_eff)
-            for flow in st.out_flows:
-                if flow.kind == F_DIRECT:
-                    # deliveries are producer-timed while the producer holds
-                    # credit slack (the free-run guard enforces that), but
-                    # each must land before the consuming job starts
-                    consumer_e = (sid, ("E", flow.consumer.sid))
-                    self._flow(flow, own_t, consumer_e, fc, fl)
-                    continue
-                read = flow.relay
-                if read is None:
-                    self._flow(flow, own_t, own_t, fc, fl)
-                    continue
-                # the producer's job-done barrier awaits the write.  The
-                # relay read of the same job is granted at ``written`` — at
-                # or after every write chunk delivery — and its source-side
-                # DMA record ends strictly later on the same storage
-                # cluster, so the write's destination events (a storage
-                # write has some; an HBM write none) are dominated by the
-                # relay read family and need no completion-time bound of
-                # their own once that family certifies.
-                consumer_key = (read.consumer.sid, ("E", read.consumer.sid))
-                self._flow(flow, own_t, own_t, fc, fl, dst_dominator=consumer_key)
-                # relay read: issued per produced tile, paced by the
-                # consumer's credit releases, delivered before the
-                # consuming job starts
-                self._flow(read, consumer_key, consumer_key, fc, fl)
-            for feed in feeds.get(sid, ()):
-                # external feed: one un-chunked HBM fetch per job, delivered
-                # before the consuming job starts (credit-gated at the
-                # consumer, so its settled pace is the consumer's)
-                self._flow(feed, own_e, own_e, fc, fl)
-
-    # -- aggregation helpers -------------------------------------------- #
-    def added_counters(self, lo: int, hi: int) -> List[int]:
-        """Traffic-counter increments over jobs ``[lo, hi)`` of every stage."""
-        total = [0] * 5
-        for sid, rows in self.phase_counters.items():
-            q_eff = len(rows)
-            for p, row in enumerate(rows):
-                count = _phase_count(hi, p, q_eff) - _phase_count(lo, p, q_eff)
-                if count:
-                    for i in range(5):
-                        total[i] += count * row[i]
-        for sid, row in self.flat_counters.items():
-            for i in range(5):
-                total[i] += (hi - lo) * row[i]
-        return total
-
-    def added_links(self, lo: int, hi: int) -> Dict[str, int]:
-        """Per-link busy-cycle increments over jobs ``[lo, hi)``."""
-        total: Dict[str, int] = {}
-        for sid, rows in self.phase_links.items():
-            q_eff = len(rows)
-            for p, row in enumerate(rows):
-                count = _phase_count(hi, p, q_eff) - _phase_count(lo, p, q_eff)
-                if count:
-                    for link, busy in row.items():
-                        total[link] = total.get(link, 0) + count * busy
-        for sid, row in self.flat_links.items():
-            for link, busy in row.items():
-                total[link] = total.get(link, 0) + (hi - lo) * busy
-        return total
-
-
-def _suffix_window(values: Sequence[int], window: int) -> Optional[Tuple[int, int]]:
-    """Certify the ``window``-job recurrence on the *suffix* of a trace.
-
-    Returns ``(period, pairs)`` where ``period = values[-1] -
-    values[-1-window] > 0`` and ``pairs`` counts how many consecutive
-    indices ``j`` (from the end) satisfy ``values[j] - values[j-window] ==
-    period``; ``None`` when the trace is too short or the period is not
-    positive.  Anchoring at the suffix is what tolerates free-running
-    stages: each stage is certified at its own tail, not a global anchor.
-    """
-    length = len(values)
-    if window <= 0 or length <= window:
-        return None
-    period = values[length - 1] - values[length - 1 - window]
-    if period <= 0:
-        return None
-    if length - window >= 64:
-        # long traces: one vectorised stride-difference pass instead of a
-        # Python loop over every element
-        arr = np.asarray(values, dtype=np.int64)
-        mismatch = np.flatnonzero(arr[window:] != arr[:-window] + period)
-        pairs = length - window if mismatch.size == 0 else (
-            length - window - 1 - int(mismatch[-1])
-        )
-        return period, pairs
-    pairs = 0
-    j = length - 1
-    while j >= window and values[j] - values[j - window] == period:
-        pairs += 1
-        j -= 1
-    return period, pairs
-
-
-def _need(window: int) -> int:
-    """Certified pairs required to accept a candidate window.
-
-    Small windows need :data:`MIN_WINDOWS` full windows of evidence.  A
-    replica window larger than :data:`MAX_WINDOW` is the stage's own
-    round-robin quotient ``lcm(replication, digital_slots)`` (or a window
-    inherited from such a producer): its residues are interchangeable
-    replica phases, so one verified recurrence per residue plus a
-    :data:`MIN_WINDOWS` margin certifies the quotient without demanding
-    ``MIN_WINDOWS`` full windows of an already-long period.
-    """
-    if window <= MAX_WINDOW:
-        return MIN_WINDOWS * window
-    return window + MIN_WINDOWS
-
-
-def _rate_key(window: int, period: int) -> Tuple[int, int]:
-    """Reduced cycles-per-job rate ``period/window`` as an exact fraction."""
-    g = math.gcd(window, period)
-    return (period // g, window // g)
-
-
-def _certify_stages(
-    workload: Workload,
-    traces: Dict[int, List[int]],
-    stage_ends: Dict[int, List[int]],
-    attempts: List[str],
-    probe_label: str,
-) -> Tuple[Optional[Dict[int, Tuple[int, int]]], int, str]:
-    """Certify every stage's completion trace at its own window and anchor.
-
-    Candidates per stage: every window up to :data:`MAX_WINDOW`, the
-    stage's replica shapes (``replication``, ``digital_slots`` and their
-    lcm), and windows inherited from certified producers (``G_p`` and
-    ``lcm(G_p, Q_s)`` — a stage slaved to a replicated producer inherits
-    its period even when its own shape is trivial).  Among certifiable
-    candidates the one whose certified region starts *earliest* wins (ties
-    to the smaller window): a short window can transiently certify inside
-    a long constant-delta run of the true pattern, but never with an
-    earlier region start than the true window, so this selection is what
-    makes the scan sound (see docs/simulator.md).
-
-    Returns ``(certs, escalate_window, detail)``: ``certs`` maps stage id
-    to ``(G, P)`` or is ``None`` on failure; ``escalate_window`` is the
-    largest candidate that failed purely for trace length (0 when none),
-    signalling that a longer probe may certify.
-    """
-    certs: Dict[int, Tuple[int, int]] = {}
-    produced_by = {
-        (flow.kind, flow.label): d.stage_id
-        for d in workload.stages
-        for flow in d.outputs
-        if flow.kind in (ENDPOINT_HBM, ENDPOINT_STORAGE)
-    }
-    for d in workload.stages:
-        sid = d.stage_id
-        trace = traces.get(sid, [])
-        ends = stage_ends.get(sid, [])
-        length = len(trace)
-        q_eff = math.lcm(d.replication, d.digital_slots)
-        candidates = set(range(1, MAX_WINDOW + 1))
-        candidates.update((d.replication, d.digital_slots, q_eff))
-        for flow in d.inputs:
-            if flow.kind == ENDPOINT_STAGE:
-                producer = flow.stage_id
-            else:
-                producer = produced_by.get((flow.kind, flow.label))
-            if producer in certs:
-                g_p = certs[producer][0]
-                candidates.add(g_p)
-                candidates.add(math.lcm(g_p, q_eff))
-        best: Optional[Tuple[int, int, int]] = None  # (region_start, window, period)
-        limited = 0
-        rejected: List[int] = []
-        for window in sorted(candidates):
-            need = _need(window)
-            if length - window < need:
-                limited = max(limited, window)
-                rejected.append(window)
-                continue
-            on_trace = _suffix_window(trace, window)
-            on_ends = _suffix_window(ends, window)
-            if (
-                on_trace is None
-                or on_ends is None
-                or on_trace[1] < need
-                or on_ends[1] < need
-                or on_trace[0] != on_ends[0]
-            ):
-                rejected.append(window)
-                continue
-            period = on_trace[0]
-            pairs = min(on_trace[1], on_ends[1])
-            start = length - window - pairs
-            if best is None or (start, window) < (best[0], best[1]):
-                best = (start, window, period)
-        if best is None:
-            detail = (
-                f"stage {sid}: no certifiable window among {sorted(candidates)}"
-            )
-            attempts.append(f"{probe_label}: {detail}; rejected {rejected}")
-            logger.info("fast-forward %s: %s; rejected %s", probe_label, detail, rejected)
-            return None, limited, detail
-        certs[sid] = (best[1], best[2])
-    return certs, 0, ""
-
-
-def _extend_trace(values: List[int], window: int, period: int, n: int) -> List[int]:
-    """Extend a certified per-stage trace to ``n`` entries by recurrence."""
-    out = list(values)
-    for k in range(len(values), n):
-        out.append(out[k - window] + period)
-    return out
-
-
-def _verify_probe_state(
-    probe: _RecordingProgram,
-    ledger: _EventLedger,
-    workload: Workload,
-    b: int,
-) -> Optional[str]:
-    """Check the ledger reproduces the probe's recorded state *exactly*.
-
-    Every aggregate counter, link-busy entry, per-cluster activity total,
-    per-stage record and per-family event count must match the prediction;
-    the first mismatch is returned as a human-readable detail (the caller
-    turns it into a refusal — a mismatch means the ledger's model of the
-    event population is wrong for this workload, so extrapolating from it
-    could be silently inexact).
-    """
-    tracer = probe.tracer
-    expected = ledger.added_counters(0, b)
-    actual = (
-        tracer.hbm_bytes,
-        tracer.noc_bytes,
-        tracer.noc_byte_hops,
-        tracer.local_bytes,
-        tracer.n_transfers,
-    )
-    if tuple(expected) != actual:
-        return f"traffic counters diverge: ledger {tuple(expected)} vs probe {actual}"
-    expected_links = {k: v for k, v in ledger.added_links(0, b).items() if v}
-    actual_links = {k: v for k, v in tracer.link_busy.items() if v}
-    if expected_links != actual_links:
-        return "per-link busy cycles diverge"
-    if set(probe.substreams) != set(ledger.groups):
-        missing = set(ledger.groups) - set(probe.substreams)
-        extra = set(probe.substreams) - set(ledger.groups)
-        return f"event families diverge (missing {len(missing)}, extra {len(extra)})"
-    cluster_totals: Dict[int, List[int]] = {}  # analog, digital, comm, jobs
-    for key, group in ledger.groups.items():
-        cid, category, cycles = key
-        events = sum(_contrib_count(c, 0, b) for c in group.values())
-        if len(probe.substreams[key]) != events:
+    def refusal_detail(self) -> str:
+        if self.recurrence is not None:
+            window, cycles, k = self.recurrence
             return (
-                f"event count of family {key} diverges: ledger {events} "
-                f"vs probe {len(probe.substreams[key])}"
+                f"the state recurred with W={window} jobs, D={cycles} cycles, "
+                f"but only k={k} < 1 windows fit before the end of the run"
             )
-        totals = cluster_totals.setdefault(cid, [0, 0, 0, 0])
-        if category == "analog":
-            totals[0] += cycles * events
-            totals[3] += events
-        elif category == "digital":
-            totals[1] += cycles * events
-        else:
-            totals[2] += cycles * events
-    if set(cluster_totals) != set(tracer.clusters):
-        return "active cluster sets diverge"
-    stream_max: Dict[int, int] = {}
-    for (cid, __, ___), stream in probe.substreams.items():
-        peak = max(stream)
-        if peak > stream_max.get(cid, -1):
-            stream_max[cid] = peak
-    for cid, act in tracer.clusters.items():
-        totals = cluster_totals[cid]
-        if (
-            act.analog != totals[0]
-            or act.digital != totals[1]
-            or act.communication != totals[2]
-            or act.jobs != totals[3]
-            or act.synchronization != 0
-        ):
-            return f"cluster {cid} activity diverges from ledger"
-        if act.last_busy_cycle != stream_max.get(cid):
-            return f"cluster {cid} busy horizon not covered by event families"
-    stage_ids = {d.stage_id for d in workload.stages}
-    if set(tracer.stages) != stage_ids or set(tracer.stage_completions) != stage_ids:
-        return "stage sets diverge"
-    for d in workload.stages:
-        rec = tracer.stages[d.stage_id]
-        ends = probe.stage_ends.get(d.stage_id, [])
-        trace = tracer.stage_completions[d.stage_id]
-        analog = d.cost.analog_cycles_per_job if d.is_analog else 0
-        digital = max(0, d.cost.digital_cycles_per_job)
-        if (
-            rec.jobs_completed != b
-            or rec.analog_busy != b * analog
-            or rec.digital_busy != b * digital
-            or rec.input_stall != 0
-            or rec.output_stall != 0
-            or len(ends) != b
-            or len(trace) != b
-            or ends[-1] != rec.last_job_end
-        ):
-            return f"stage {d.stage_id} record diverges from ledger"
-    return None
-
-
-def _free_run_guard(
-    workload: Workload,
-    certs: Dict[int, Tuple[int, int]],
-    ends_ext: Dict[int, List[int]],
-    ledger: _EventLedger,
-    buffer_depth: int,
-    n: int,
-) -> Optional[str]:
-    """Refuse when a free-running producer would exhaust its credit window.
-
-    A producer strictly faster than its consumer runs ahead by a growing
-    margin; inside the probe it holds slack, but at some job count it hits
-    the consumer's input-credit ceiling and the event pattern changes —
-    *after* the certified region, where no probe can see it.  The guard
-    replays the credit arithmetic exactly on the extended compute-end
-    streams: job ``j``'s credit is acquired at the producer's compute end
-    and released at the consumer's, so the outstanding count must stay at
-    least two below the ceiling (the margin covers same-cycle ordering
-    ties) for every job of the *full* run.
-
-    Separately, a cluster whose DMA engine serves stages of *different*
-    steady rates has no single periodic pattern to certify — the relative
-    phase of the two rates drifts without bound — so it is refused here
-    (same root cause: unbounded drift between unequal rates).
-    """
-    by_id = {d.stage_id: d for d in workload.stages}
-    for cid, pacers in ledger.dma_pacers.items():
-        keys = {_rate_key(*certs[sid]) for sid in pacers}
-        if len(keys) > 1:
-            return (
-                f"cluster {cid} DMA engine is shared by stages at different "
-                f"steady rates {sorted(pacers)}"
-            )
-    for d in workload.stages:
-        g_p, p_p = certs[d.stage_id]
-        for flow in d.outputs:
-            if flow.kind != ENDPOINT_STAGE:
-                continue
-            consumer = by_id[flow.stage_id]
-            g_c, p_c = certs[consumer.stage_id]
-            # strictly faster producer: fewer cycles per job
-            if p_p * g_c >= p_c * g_p:
-                continue
-            depth = flow.buffer_depth if flow.buffer_depth is not None else buffer_depth
-            cap = depth * max(consumer.replication, consumer.digital_slots)
-            e_p = ends_ext[d.stage_id]
-            e_c = ends_ext[consumer.stage_id]
-            released = 0
-            worst = 0
-            for j in range(n):
-                limit = e_p[j]
-                while released < n and e_c[released] < limit:
-                    released += 1
-                outstanding = j - released
-                if outstanding > worst:
-                    worst = outstanding
-            if worst > cap - 2:
-                return (
-                    f"producer stage {d.stage_id} would run {worst + 1} jobs ahead "
-                    f"of stage {consumer.stage_id} (credit ceiling {cap}) within "
-                    f"{n} jobs; the probe cannot certify past that horizon"
-                )
-    return None
-
-
-def _certify_substreams(
-    probe: _RecordingProgram,
-    ledger: _EventLedger,
-    certs: Dict[int, Tuple[int, int]],
-    traces_ext: Dict[int, List[int]],
-    ends_ext: Dict[int, List[int]],
-    b: int,
-    n: int,
-) -> Tuple[Optional[Dict[int, int]], str]:
-    """Derive each cluster's exact busy horizon from its event families.
-
-    Certification happens at the *contribution* level, not per cluster: a
-    replicated stage scatters its events round-robin over its replica
-    clusters, so one cluster sees only every ``q``-th event — its local
-    stream can have an event period as long as ``lcm(q, pacing window)``,
-    far beyond any affordable probe, even when the stage-level per-job
-    sequence is short-periodic.  (The pacing window need not be the
-    stage's own: a stage start-gated by a faster free-running producer
-    inherits the producer's window for its compute-side events.)  So each
-    single-contribution family is merged with its siblings across clusters
-    into one job-indexed sequence, certified there with the same
-    candidate-window/earliest-start machinery as the stage traces, and the
-    certified recurrence is scattered back to exact per-cluster horizons
-    through the known job→cluster mapping.
-
-    A merged sequence that does not certify (an external feed still in its
-    flood-fill regime) — or a family mixing several contributions, whose
-    interleaving is not reconstructible — falls back per contribution: a
-    contribution *dominated* by a certified family on the same cluster
-    (a storage write whose relay read always ends later) needs no check;
-    any other must have its *bound* — every future event provably precedes
-    the bounding stage's extended compute end/completion — below the
-    cluster's certified horizon, else the whole fast-forward is refused.
-    A cluster's new busy horizon is the maximum scattered time over its
-    certified families, exact by the above.
-    """
-    new_last_busy: Dict[int, int] = {}
-    certified_max: Dict[int, int] = {}
-    # contributions whose families did not certify: cid, contrib, key
-    bounded: List[Tuple[int, _Contrib, Tuple[int, str, int]]] = []
-    # (cid, contrib_key) of every certified family, for domination checks
-    certified_contribs: Set[Tuple[int, Tuple]] = set()
-
-    def bound_of(contrib: _Contrib) -> int:
-        kind, sid = contrib.bound
-        stream = ends_ext[sid] if kind == "E" else traces_ext[sid]
-        return stream[n - 1]
-
-    # -- group single-contribution families by their contribution -------- #
-    merged_groups: Dict[Tuple, List[Tuple[int, _Contrib, List[int]]]] = {}
-    multi_families: List[Tuple[Tuple[int, str, int], Dict, List[int]]] = []
-    for key, stream in probe.substreams.items():
-        cid, category, cycles = key
-        group = ledger.groups[key]
-        if len(group) != 1:
-            multi_families.append((key, group, stream))
-            continue
-        (ck, contrib), = group.items()
-        merged_groups.setdefault((ck, category, cycles), []).append(
-            (cid, contrib, stream)
+        return (
+            f"no state recurrence in {self.checkpoints} checkpoints "
+            f"(round-robin period {self._period}; {self.repeats} signature repeats)"
         )
-
-    window_candidates = set(range(1, MAX_WINDOW + 1))
-    window_candidates.update(g for g, __ in certs.values())
-
-    for (ck, category, cycles), fams in merged_groups.items():
-        fams.sort(key=lambda item: item[0])
-        owner = ck[0]
-
-        def fam_count(contrib: _Contrib, j: int) -> int:
-            events = contrib.per_job
-            if contrib.phases is not None:
-                events += contrib.phases[j % contrib.q]
-            return events
-
-        # merge the per-cluster streams into job order (each local stream
-        # is in job order by engine FIFO; per-job counts come from the
-        # verified ledger)
-        if len(fams) == 1:
-            merged = fams[0][2]
-            matched = _contrib_count(fams[0][1], 0, b) == len(merged)
-        else:
-            merged = []
-            cursors = [0] * len(fams)
-            per_fam_events = [
-                (
-                    [contrib.per_job] * b
-                    if contrib.phases is None
-                    else [fam_count(contrib, j) for j in range(b)]
-                )
-                for __, contrib, ___ in fams
-            ]
-            streams = [stream for __, ___, stream in fams]
-            for j in range(b):
-                for index, events_by_job in enumerate(per_fam_events):
-                    events = events_by_job[j]
-                    if events:
-                        at = cursors[index]
-                        merged.extend(streams[index][at : at + events])
-                        cursors[index] = at + events
-            matched = all(
-                cursor == len(streams[index])
-                for index, cursor in enumerate(cursors)
-            )
-        if not matched:
-            return None, (
-                f"event family of stage {owner} ({category}/{cycles}) does "
-                f"not match its ledger event count"
-            )
-        length = len(merged)
-
-        def count(lo: int, hi: int) -> int:
-            return sum(_contrib_count(c, lo, hi) for __, c, ___ in fams)
-
-        q_merged = 1
-        for __, c, ___ in fams:
-            if c.phases is not None:
-                q_merged = math.lcm(q_merged, c.q)
-        per_job_counts = [
-            sum(fam_count(c, j) for __, c, ___ in fams) for j in range(q_merged)
-        ]
-        g_owner, __ = certs[owner]
-        # the owner's certified window is the overwhelmingly likely event
-        # window, so it goes first; any candidate passing every rule below
-        # extrapolates exactly, so the first hit wins (scanning on would
-        # only trade one sound certificate for another)
-        candidates = [g_owner] + [
-            w for w in sorted(window_candidates) if w != g_owner
-        ]
-        best: Optional[Tuple[int, int]] = None  # sigma, period
-        for w in candidates:
-            if any(
-                per_job_counts[(r + w) % q_merged] != per_job_counts[r]
-                for r in range(q_merged)
-            ):
-                # the event count of a ``w``-job window depends on where
-                # the window starts: no single event stride exists
-                continue
-            sigma = count(0, w)
-            if sigma <= 0 or length <= sigma:
-                continue
-            need = MIN_WINDOWS * sigma if w <= MAX_WINDOW else sigma + MIN_WINDOWS
-            on_seq = _suffix_window(merged, sigma)
-            if on_seq is None or on_seq[1] < need:
-                continue
-            period, pairs = on_seq
-            start = length - sigma - pairs
-            # the certified recurrence must hold over the whole second half
-            # of the probe: a pattern that only appears in the last few
-            # events (e.g. a feed just past its flood-fill transition) has
-            # not shown it is the steady one
-            if start > count(0, b // 2):
-                continue
-            best = (sigma, period)
-            break
-        if best is None:
-            for cid, contrib, __ in fams:
-                bounded.append((cid, contrib, (cid, category, cycles)))
-            continue
-        sigma, period = best
-        for cid, __unused, ___ in fams:
-            certified_contribs.add((cid, ck))
-
-        def val(pos: int) -> int:
-            if pos < length:
-                return merged[pos]
-            k = pos - length
-            return merged[length - sigma + (k % sigma)] + period * (1 + k // sigma)
-
-        # scatter back: per family, the last occurrence of each of its
-        # (phase, slot) residues over the full run; values grow by
-        # ``period`` per ``sigma`` positions, so the last occurrence per
-        # residue dominates all earlier ones
-        prefix_cache: Dict[int, int] = {}
-
-        def job_base(j: int) -> int:
-            base = prefix_cache.get(j)
-            if base is None:
-                base = prefix_cache[j] = count(0, j)
-            return base
-
-        for index, (cid, contrib, __) in enumerate(fams):
-            last_jobs: Set[int] = set()
-            if contrib.per_job:
-                last_jobs.add(n - 1)
-            if contrib.phases is not None:
-                for p, events in enumerate(contrib.phases):
-                    if events and n > p:
-                        last_jobs.add(n - 1 - ((n - 1 - p) % contrib.q))
-            peak = certified_max.get(cid, -1)
-            for j in last_jobs:
-                offset = job_base(j)
-                for fam_index in range(index):
-                    offset += fam_count(fams[fam_index][1], j)
-                for slot in range(fam_count(contrib, j)):
-                    value = val(offset + slot)
-                    if value > peak:
-                        peak = value
-            if peak >= 0:
-                certified_max[cid] = peak
-
-    # Multi-contribution families interleave several flows whose relative
-    # order is not reconstructible by job index (and whose probe suffix is
-    # the pipeline drain, not the steady interleaving) — they can only be
-    # bounded or dominated, never certified from the raw local stream.
-    for key, group, __stream in multi_families:
-        for contrib in group.values():
-            bounded.append((key[0], contrib, key))
-
-    has_future: Set[int] = set()
-    for key, group in ledger.groups.items():
-        if key[0] in has_future:
-            continue
-        if any(_contrib_count(c, b, n) > 0 for c in group.values()):
-            has_future.add(key[0])
-    for cid, act in probe.tracer.clusters.items():
-        if cid not in has_future:
-            new_last_busy[cid] = act.last_busy_cycle
-            continue
-        peak = certified_max.get(cid)
-        if peak is None:
-            return None, (
-                f"cluster {cid} has no certified periodic event family to "
-                f"anchor its busy horizon"
-            )
-        new_last_busy[cid] = max(act.last_busy_cycle, peak)
-    for cid, contrib, key in bounded:
-        if (
-            contrib.dominator is not None
-            and (cid, contrib.dominator) in certified_contribs
-        ):
-            continue
-        horizon = new_last_busy.get(cid)
-        if horizon is None or bound_of(contrib) > horizon:
-            return None, (
-                f"event family {key} is aperiodic in the probe and its bound "
-                f"exceeds the cluster's certified horizon"
-            )
-    return new_last_busy, ""
-
-
-def _apply_extension(
-    probe: _RecordingProgram,
-    result: SimulationResult,
-    workload: Workload,
-    ledger: _EventLedger,
-    traces_ext: Dict[int, List[int]],
-    ends_ext: Dict[int, List[int]],
-    new_last_busy: Dict[int, int],
-    b: int,
-    n: int,
-) -> SimulationResult:
-    """Advance the verified probe result to ``n`` jobs, in place.
-
-    Pure integer arithmetic over the ledger and the extended per-stage
-    streams — every mutated field equals what the full run would have
-    recorded, which the equivalence tests assert bit-for-bit.
-    """
-    tracer = result.tracer
-    d_hbm, d_noc, d_hops, d_local, d_transfers = ledger.added_counters(b, n)
-    tracer.hbm_bytes += d_hbm
-    tracer.noc_bytes += d_noc
-    tracer.noc_byte_hops += d_hops
-    tracer.local_bytes += d_local
-    tracer.n_transfers += d_transfers
-    for link, busy in ledger.added_links(b, n).items():
-        if busy:
-            tracer.link_busy[link] += busy
-    for key, group in ledger.groups.items():
-        cid, category, cycles = key
-        added = sum(_contrib_count(c, b, n) for c in group.values())
-        if not added:
-            continue
-        act = tracer.clusters[cid]
-        if category == "analog":
-            act.analog += cycles * added
-            act.jobs += added
-        elif category == "digital":
-            act.digital += cycles * added
-        else:
-            act.communication += cycles * added
-    for cid, horizon in new_last_busy.items():
-        tracer.clusters[cid].last_busy_cycle = horizon
-    for d in workload.stages:
-        rec = tracer.stages[d.stage_id]
-        analog = d.cost.analog_cycles_per_job if d.is_analog else 0
-        digital = max(0, d.cost.digital_cycles_per_job)
-        rec.jobs_completed = n
-        rec.analog_busy += (n - b) * analog
-        rec.digital_busy += (n - b) * digital
-        rec.last_job_end = ends_ext[d.stage_id][n - 1]
-        tracer.stage_completions[d.stage_id] = traces_ext[d.stage_id]
-    # the engines advance ``makespan`` only from recorded activity ends and
-    # stage job ends — completion barriers (credit releases) are bookkeeping
-    # times that may exceed every recorded event, so traces don't count here
-    tracer.makespan = max(
-        max(new_last_busy.values(), default=0),
-        max(stream[n - 1] for stream in ends_ext.values()),
-    )
-    final_stage_id = workload.final_stage().stage_id
-    result.workload = workload
-    result.makespan_cycles = tracer.makespan
-    result.jobs_completed = {sid: n for sid in result.jobs_completed}
-    result.final_stage_completions = tuple(traces_ext[final_stage_id][-2:])
-    result.fast_forwarded = True
-    return result
-
-
-def _replica_fast_forward(
-    arch: ArchConfig,
-    workload: Workload,
-    buffer_depth: int,
-    attempts: List[str],
-    q_max: int,
-) -> Union[SimulationResult, "FastForwardRefusal"]:
-    """The replica-symmetry certification path (contention-free runs).
-
-    Runs a probe long enough to hold ``MIN_WINDOWS`` repetitions of the
-    widest replica window, certifies every stage at its own window and
-    anchor, cross-checks the probe against the event ledger, guards the
-    free-run credit horizon, certifies every cluster's event families, and
-    extends by recurrence.  Any failed check produces a typed refusal; the
-    caller then runs the full simulation, so a refusal costs accuracy
-    nothing.
-    """
-    n = workload.n_jobs
-    # Like the global probe, this one runs on the table lane: the engines
-    # are bit-identical (the equivalence suite enforces it), the table lane
-    # is the fastest, and its fused per-group source-side burst records
-    # carry exactly the per-flow granularity that family certification
-    # needs (the object kernel records every chunk separately, collapsing
-    # distinct flows into one indistinguishable event family).
-    b = max(PROBE_TARGET, 2 * q_max + MIN_WINDOWS + 1)
-
-    def refuse(reason: str, detail: str) -> FastForwardRefusal:
-        logger.info("fast-forward refused (%s): %s", reason, detail)
-        return FastForwardRefusal(reason, detail, tuple(attempts))
-
-    for escalation in (0, 1):
-        if b > n // 2:
-            return refuse(
-                REFUSAL_PROBE_TOO_SHORT,
-                f"certifying replica windows up to {q_max} needs a {b}-job "
-                f"probe, more than half of the {n}-job run",
-            )
-        attempts.append(f"replica probe b={b} engine=table")
-        logger.info("fast-forward: replica probe b=%d (q_max=%d)", b, q_max)
-        probe, result = _run_replica_probe(arch, workload.with_n_jobs(b), buffer_depth)
-        if not result.completed:
-            return refuse(REFUSAL_NON_PERIODIC, "probe run did not complete")
-        certs, escalate_w, detail = _certify_stages(
-            workload,
-            probe.tracer.stage_completions,
-            probe.stage_ends,
-            attempts,
-            f"replica probe b={b}",
-        )
-        if certs is None:
-            if escalate_w and escalation == 0:
-                b2 = min(
-                    n // 2,
-                    max(
-                        b + PROBE_ALIGN,
-                        2 * escalate_w + MIN_WINDOWS + 1 + len(workload.stages),
-                    ),
-                )
-                if b2 > b:
-                    attempts.append(
-                        f"escalating probe to b={b2} for window {escalate_w}"
-                    )
-                    logger.info(
-                        "fast-forward: escalating probe to b=%d for window %d",
-                        b2,
-                        escalate_w,
-                    )
-                    b = b2
-                    continue
-            if escalate_w:
-                return refuse(
-                    REFUSAL_WINDOW_TOO_LARGE,
-                    f"window {escalate_w} cannot be certified within half the "
-                    f"run ({detail})",
-                )
-            return refuse(REFUSAL_NON_PERIODIC, detail)
-        ledger = _EventLedger(probe)
-        mismatch = _verify_probe_state(probe, ledger, workload, b)
-        if mismatch is not None:
-            return refuse(REFUSAL_NON_PERIODIC, f"ledger mismatch: {mismatch}")
-        traces_ext = {
-            sid: _extend_trace(
-                probe.tracer.stage_completions[sid], certs[sid][0], certs[sid][1], n
-            )
-            for sid in certs
-        }
-        ends_ext = {
-            sid: _extend_trace(probe.stage_ends[sid], certs[sid][0], certs[sid][1], n)
-            for sid in certs
-        }
-        blocked = _free_run_guard(workload, certs, ends_ext, ledger, buffer_depth, n)
-        if blocked is not None:
-            return refuse(REFUSAL_FREE_RUN_HORIZON, blocked)
-        new_last_busy, detail = _certify_substreams(
-            probe, ledger, certs, traces_ext, ends_ext, b, n
-        )
-        if new_last_busy is None:
-            return refuse(REFUSAL_NON_PERIODIC, detail)
-        logger.info(
-            "fast-forward: replica certification accepted (b=%d, %d stages, "
-            "%d event families)",
-            b,
-            len(certs),
-            len(ledger.groups),
-        )
-        return _apply_extension(
-            probe,
-            result,
-            workload,
-            ledger,
-            traces_ext,
-            ends_ext,
-            new_last_busy,
-            b,
-            n,
-        )
-    return refuse(
-        REFUSAL_WINDOW_TOO_LARGE,
-        f"no certifiable window within the escalated probe (q_max={q_max})",
-    )
-
-
-def _witnessed_window(workload: Workload) -> int:
-    """Largest round-robin window a global window provably has to cover.
-
-    A stage's ``lcm(replication, digital_slots)`` counts when every analog
-    replica and every digital slot group owns a *witness* cluster that no
-    other replica or group records on: the witnesses' per-cluster counters
-    then tell the round-robin residues apart, so every certified global
-    window is a multiple of it (argument in ``docs/simulator.md``).  Stages
-    without witnesses — only hand-built workloads share clusters between
-    replicas — count as 1.
-    """
-    # (stage, counter kind, round-robin count, groups recording on it)
-    shapes = []
-    for d in workload.stages:
-        if d.is_analog:
-            shapes.append((d.stage_id, "analog", d.replication, d.analog_replicas))
-        if d.cost.digital_cycles_per_job > 0:
-            shapes.append(
-                (d.stage_id, "digital", d.digital_slots, d.digital_groups)
-            )
-    owners = Counter(
-        (kind, c) for _, kind, _, groups in shapes for group in groups
-        for c in set(group)
-    )
-    windows = {d.stage_id: 1 for d in workload.stages}
-    for stage_id, kind, count, groups in shapes:
-        if all(any(owners[kind, c] == 1 for c in group) for group in groups):
-            windows[stage_id] = math.lcm(windows[stage_id], count)
-    return max(windows.values())
 
 
 def fast_forward_simulate(
@@ -1624,65 +188,30 @@ def fast_forward_simulate(
     workload: Workload,
     model_contention: bool = True,
     buffer_depth: int = 2,
-) -> Union[SimulationResult, "FastForwardRefusal"]:
-    """Simulate ``workload`` by steady-state extrapolation when provably exact.
+) -> SimulationResult:
+    """Simulate ``workload`` on the table lane, skipping recurring windows.
 
-    Returns the bit-identical extrapolated :class:`SimulationResult` on
-    success, or a typed :class:`FastForwardRefusal` explaining why the run
-    must be simulated in full.  Two certification paths: the single-anchor
-    global path (effective windows up to :data:`MAX_WINDOW`), and the
-    replica-symmetry path for wide replica groups, available when NoC
-    contention modelling is off (contention couples clusters globally and
-    has no per-stage decomposition to certify).
+    Always returns the full run's :class:`SimulationResult`, bit for bit:
+    ``fast_forwarded`` says whether a jump happened, and otherwise
+    ``fast_forward_refusal`` says why not.  Open workloads are refused up
+    front.
     """
-    attempts: List[str] = []
     if workload.arrival_cycles:
-        return FastForwardRefusal(
+        result = SystemSimulator(
+            arch, workload, model_contention=model_contention, buffer_depth=buffer_depth
+        ).run()
+        result.fast_forward_refusal = FastForwardRefusal(
             REFUSAL_OPEN_WORKLOAD,
-            "open (arrival-driven) workloads never reach a closed steady "
-            "state; simulate in full",
-            tuple(attempts),
+            "an arrival schedule reads absolute times, so the state never recurs",
         )
-    n = workload.n_jobs
-    if n < MIN_JOBS:
-        return FastForwardRefusal(
-            REFUSAL_PROBE_TOO_SHORT,
-            f"{n} jobs is below the {MIN_JOBS}-job floor: a probe plus "
-            f"certification margin would not be shorter than the full run",
-            tuple(attempts),
+        return result
+    simulator = _RecurrenceSimulator(arch, workload, model_contention, buffer_depth)
+    result = simulator.run()
+    recurrence = simulator.recurrence
+    if recurrence is not None and recurrence[2] >= 1:
+        result.fast_forwarded = True
+    else:
+        result.fast_forward_refusal = FastForwardRefusal(
+            REFUSAL_NON_PERIODIC, simulator.refusal_detail()
         )
-    q_max = max(
-        math.lcm(d.replication, d.digital_slots) for d in workload.stages
-    )
-    witnessed = _witnessed_window(workload) if model_contention else 1
-    if witnessed > MAX_WINDOW:
-        # no window <= MAX_WINDOW can certify, and the replica path needs
-        # contention off: refuse without spending a probe
-        return FastForwardRefusal(
-            REFUSAL_WINDOW_TOO_LARGE,
-            f"effective replica window {witnessed} exceeds the global "
-            f"certification cap {MAX_WINDOW}; replica-symmetry "
-            f"certification requires model_contention=False",
-            tuple(attempts),
-        )
-    if model_contention or q_max <= MAX_WINDOW:
-        extrapolated = _global_fast_forward(
-            arch, workload, model_contention, buffer_depth, attempts
-        )
-        if extrapolated is not None:
-            return extrapolated
-    if model_contention:
-        if q_max > MAX_WINDOW:
-            return FastForwardRefusal(
-                REFUSAL_WINDOW_TOO_LARGE,
-                f"effective replica window {q_max} exceeds the global "
-                f"certification cap {MAX_WINDOW}; replica-symmetry "
-                f"certification requires model_contention=False",
-                tuple(attempts),
-            )
-        return FastForwardRefusal(
-            REFUSAL_NON_PERIODIC,
-            "no globally periodic window certified under contention",
-            tuple(attempts),
-        )
-    return _replica_fast_forward(arch, workload, buffer_depth, attempts, q_max)
+    return result

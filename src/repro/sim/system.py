@@ -70,7 +70,11 @@ from .workload import (
 #: free-at heap had inserted a queued chunk's NoC entry at issue instead
 #: of when a channel frees, which could reorder two chunks leaving their
 #: DMA in one cycle; stored results of such workloads are stale.
-SIMULATION_PAYLOAD_VERSION = 5
+#: Version 6: the fast-forward certifies by exact state recurrence.  The
+#: refusal reasons ``window-too-large``, ``probe-too-short`` and
+#: ``free-run-horizon`` are gone and a refusal carries no probe list, so a
+#: stored refusal naming them would no longer load.
+SIMULATION_PAYLOAD_VERSION = 6
 
 #: valid values of the ``engine`` argument of :func:`simulate` /
 #: :class:`SystemSimulator` — the only two entry points that take one: the
@@ -80,8 +84,8 @@ SIMULATION_PAYLOAD_VERSION = 5
 SIMULATION_ENGINES = ("python", "table")
 
 #: the engine of :func:`simulate` and :class:`SystemSimulator` unless told
-#: otherwise, and the only one the fast-forward probe, the scenario
-#: pipeline and the CLI run: the compiled table lane, the fastest.
+#: otherwise, and the only one the fast-forward, the scenario pipeline and
+#: the CLI run: the compiled table lane, the fastest.
 DEFAULT_ENGINE = "table"
 
 
@@ -156,8 +160,8 @@ class SimulationResult:
     #: record fields are bit-identical to the full run either way).
     fast_forwarded: bool = False
     #: the typed refusal (:class:`repro.sim.steady_state.FastForwardRefusal`)
-    #: explaining why a *requested* fast-forward fell back to the full
-    #: event-driven run; ``None`` when it engaged or was never requested.
+    #: explaining why a *requested* fast-forward simulated every window;
+    #: ``None`` when it engaged or was never requested.
     #: Provenance, like :attr:`fast_forwarded`: the simulated quantities
     #: are bit-identical either way.
     fast_forward_refusal: Optional["FastForwardRefusal"] = None
@@ -400,7 +404,6 @@ class _StageRuntime:
         )
         self._digital_groups = descriptor.digital_groups
         # register for per-stage statistics, with the replica-group shape
-        # the steady-state certifier folds completion traces by
         sim.tracer.stage(
             descriptor.stage_id,
             descriptor.name,
@@ -555,8 +558,6 @@ class SystemSimulator:
         self.model_contention = model_contention
         self._dma_servers: Dict[int, Server] = {}
         self._stages: Dict[int, _StageRuntime] = {}
-        self._finished_stages = 0
-        self._last_completion_cycle = 0
         #: on open workloads, completions of this stage are the request
         #: completions the sojourn metrics are computed from; ``None``
         #: disables per-request recording on closed batches, keeping their
@@ -816,8 +817,6 @@ class SystemSimulator:
     def job_finished(self, stage_id: int, job_index: int) -> None:
         """Called by stage runtimes; tracks overall completion."""
         now = self.engine._now
-        if now > self._last_completion_cycle:
-            self._last_completion_cycle = now
         self.tracer.record_stage_completion(stage_id, now)
         if stage_id == self._request_stage_id:
             self.tracer.record_request_completion(job_index, now)
@@ -832,8 +831,8 @@ class SystemSimulator:
             table.finalize()
             jobs_completed = table.jobs_completed_by_stage()
             # drop the peak-size row storage so a long-lived holder of this
-            # simulator (sweep workers, the steady-state prober) does not
-            # retain it (see ``TableEngine.reset``).
+            # simulator (e.g. a sweep worker) does not retain it (see
+            # ``TableEngine.reset``).
             self.engine.reset()
         else:
             self._build()
@@ -882,43 +881,39 @@ def simulate(
 ) -> SimulationResult:
     """Convenience wrapper: build a simulator and run the workload.
 
-    With ``fast_forward=True`` the steady-state fast-forward
-    (:mod:`repro.sim.steady_state`) first probes a shortened run; when the
-    pipeline's event pattern is verifiably periodic — via the global
-    single-anchor certification or, on contention-free runs of wide
-    replica groups, the replica-symmetry certification — the remaining
-    jobs are extrapolated analytically.  The returned result is
-    bit-identical to the full run (asserted over the model zoo and the
-    FINAL mapping in ``tests/test_sim_fast_forward.py``) and carries
-    ``fast_forwarded=True``.  When certification is refused the full
-    event-driven run executes and the typed refusal is attached to the
-    result (``fast_forward_refusal``), so ``fast_forward=True`` is always
-    safe, merely not always faster.
+    With ``fast_forward=True`` the run goes through the exact fast-forward
+    (:func:`repro.sim.steady_state.fast_forward_simulate`): the table lane
+    runs once, and when its whole state recurs it jumps the repeating
+    windows.  The result is bit-identical to the full run (asserted in
+    ``tests/test_sim_fast_forward.py``) and carries ``fast_forwarded=True``
+    when a jump happened, or the typed ``fast_forward_refusal`` when none
+    did; either way the workload is simulated once.
 
-    ``engine`` selects the event kernel of the full run: ``"table"`` (the
-    default, :data:`DEFAULT_ENGINE`) runs the compiled state-machine lane
+    ``engine`` selects the event kernel: ``"table"`` (the default,
+    :data:`DEFAULT_ENGINE`) runs the compiled state-machine lane
     (:mod:`repro.sim.engine_table` / :mod:`repro.sim.system_table`), which
     replaces the per-event callbacks with opcode dispatch over flat state
     vectors; ``"python"`` the original object kernel, kept as the golden
     reference the equivalence tests compare against
-    (``tests/test_sim_kernel_equivalence.py``).  The fast-forward probe
-    always runs on the table lane.  An unknown name is rejected before any
-    work, the probe included.
+    (``tests/test_sim_kernel_equivalence.py``).  The fast-forward reads the
+    table lane's state, so asking for it on another engine, like naming an
+    unknown engine, is rejected before any work.
     """
     _check_engine(engine)
-    refusal = None
     if fast_forward:
+        if engine != "table":
+            raise ValueError(
+                f"fast_forward=True runs the table lane; engine={engine!r} "
+                "cannot fast-forward"
+            )
         from .steady_state import fast_forward_simulate
 
-        outcome = fast_forward_simulate(
+        return fast_forward_simulate(
             arch,
             workload,
             model_contention=model_contention,
             buffer_depth=buffer_depth,
         )
-        if isinstance(outcome, SimulationResult):
-            return outcome
-        refusal = outcome
     simulator = SystemSimulator(
         arch,
         workload,
@@ -926,6 +921,4 @@ def simulate(
         buffer_depth=buffer_depth,
         engine=engine,
     )
-    result = simulator.run()
-    result.fast_forward_refusal = refusal
-    return result
+    return simulator.run()

@@ -65,14 +65,20 @@ compile-time fusions of the communication chain use that freedom:
   link's busy-until to ``max(until, now) + count * ser``) and emits the
   rows of the per-chunk path in its order.
 
-Tracer state that the fast-forward prober must see mid-run (aggregate
-counters, live :class:`~repro.sim.tracer.StageActivity`, stage
-completions) stays on the tracer; per-cluster and per-link activity
-accumulate in dense arrays and materialise into the tracer in
-first-touch order at :meth:`finalize`
-(:meth:`TableProgram.snapshot_activity` reads the dense form mid-run for
-the fast-forward probe).  Bit-identity against the object kernel is
-asserted by ``tests/test_sim_kernel_equivalence.py``.
+Aggregate traffic counters, live :class:`~repro.sim.tracer.StageActivity`
+records and stage completions stay on the tracer; per-cluster and
+per-link activity accumulate in dense arrays and materialise into the
+tracer in first-touch order at :meth:`finalize`.  Bit-identity against the
+object kernel is asserted by ``tests/test_sim_kernel_equivalence.py``.
+
+**State recurrence.**  The lane's whole dynamic state is the engine's
+pending rows plus the integer state above, so the exact fast-forward
+(:mod:`repro.sim.steady_state`) can compare it between two events and move
+it ahead.  :meth:`TableProgram.recurrence_key` renders it relative to now,
+with every job index re-based on a reference job, and
+:meth:`TableProgram.jump` shifts it, in place, a number of jobs and cycles
+ahead; :meth:`TableProgram.repeat_window` grows the additive records and
+completion traces by the skipped windows.  A plain run calls none of them.
 """
 
 from __future__ import annotations
@@ -103,6 +109,9 @@ F_WRITE = 1  # producer stage -> HBM / storage cluster
 F_READ = 2  # HBM / storage cluster -> consumer stage (relay prefetch)
 F_INTRA = 3  # analog replica -> first digital cluster (partial sums)
 F_FEED = 4  # HBM -> consumer stage (external input, one chunk per job)
+
+#: the tracer's traffic counters, each additive over a run.
+_TRAFFIC_COUNTERS = ("hbm_bytes", "noc_bytes", "noc_byte_hops", "local_bytes", "n_transfers")
 
 
 class _Plan:
@@ -642,53 +651,237 @@ class TableProgram:
         if self._mk > tracer.makespan:
             tracer.makespan = self._mk
 
-    def snapshot_activity(self):
-        """Mid-run activity snapshot (the fast-forward probe hook).
-
-        Returns ``(counters, clusters, stages, links)``: the aggregate
-        traffic counters ``(now, hbm_bytes, noc_bytes, noc_byte_hops,
-        local_bytes, n_transfers)``, per-cluster 6-tuples ``(analog,
-        digital, communication, synchronization, jobs, last_busy_cycle)``,
-        per-stage 7-tuples ``(jobs_completed, analog_busy, digital_busy,
-        input_stall, output_stall, first_job_start, last_job_end)`` and a
-        per-link busy-cycles dict.  A chunk whose landing is folded into a
-        later one counts its delivery cycles at NoC entry, so a mid-run
-        snapshot can include delivery of chunks still in flight.
-        """
-        tracer = self.tracer
-        counters = (
-            self.engine._now,
-            tracer.hbm_bytes,
-            tracer.noc_bytes,
-            tracer.noc_byte_hops,
-            tracer.local_bytes,
-            tracer.n_transfers,
+    # ------------------------------------------------------------------ #
+    # State recurrence (the exact fast-forward, repro.sim.steady_state)
+    # ------------------------------------------------------------------ #
+    def recurrence_signature(self, start: int, ref: int) -> tuple:
+        """A cheap function of :meth:`recurrence_key`: the pending queue's
+        shape and each stage's next job and completion count past ``ref``."""
+        stages = self.stages
+        return (
+            self.engine.pending_signature(start),
+            tuple([st.next_job - ref for st in stages]),
+            tuple([st.jobs_completed - ref for st in stages]),
         )
-        analog = self._cl_analog
-        digital = self._cl_digital
-        comm = self._cl_comm
-        jobs = self._cl_jobs
-        last = self._cl_last
-        clusters = {
-            cid: (analog[cid], digital[cid], comm[cid], 0, jobs[cid], last[cid])
-            for cid in self._cl_order
-        }
-        stages = {
-            sid: (
-                rec.jobs_completed,
-                rec.analog_busy,
-                rec.digital_busy,
-                rec.input_stall,
-                rec.output_stall,
-                rec.first_job_start,
-                rec.last_job_end,
+
+    def recurrence_key(self, start: int, ref: int) -> Tuple[tuple, int, int]:
+        """The lane's full dynamic state, relative to now and to job ``ref``.
+
+        Called from an event whose active-bucket successors start at index
+        ``start``.  Times are taken relative to now (a busy-until in the
+        past reads 0) and job indices relative to ``ref``; HBM join cells
+        are numbered by first appearance, so cells shared between rows stay
+        shared.  Two equal keys therefore evolve identically, apart from
+        the ``< n_jobs`` checks and the round-robin ``job % replication`` /
+        ``job % digital_slots`` reads, which the caller rules out.  Returns
+        the key and the smallest and largest absolute job index it holds:
+        every live job lies in between.
+        """
+        nj = self._nj
+        now = self.engine._now
+        jobs: List[int] = []
+        cells: Dict[int, int] = {}
+
+        def job(index: int) -> int:
+            jobs.append(index)
+            return index - ref
+
+        def packed(arg: int) -> Tuple[int, int]:
+            owner, index = divmod(arg, nj)
+            jobs.append(index)
+            return owner, index - ref
+
+        def cell(pend):
+            if pend is None:
+                return None
+            number = cells.setdefault(id(pend), len(cells))
+            return number, pend[0], pend[1], packed(pend[2])
+
+        channels = self._dma_channels
+        rows = []
+        for delay, op, cycles, arg in self.engine.pending_rows(start):
+            if op == OP_HBM_ARRIVE:
+                arg = cell(arg)
+            elif op == OP_CHAN_DONE:
+                arg = arg[0], cell(arg[1])
+            elif op == OP_NOC_BURST:
+                arg, extra = divmod(arg, channels)
+                arg = packed(arg) + (extra,)
+            else:
+                arg = packed(arg)
+            rows.append((delay, op, cycles, arg))
+        stages = tuple(
+            (
+                st.an_busy,
+                tuple(map(job, st.an_wait)),
+                st.dg_busy,
+                tuple(map(job, st.dg_wait)),
+                tuple(st.in_credits),
+                tuple(tuple(map(packed, wait)) for wait in st.in_wait),
+                tuple(map(job, st.delivered)),
+                st.out_credits,
+                tuple(map(job, st.out_wait)),
+                job(st.next_job),
+                job(st.jobs_completed),
+                st.activity.jobs_completed - ref,
             )
-            for sid, rec in tracer.stages.items()
-        }
-        names = self._link_names
-        busy = self._link_busy
-        links = {names[lid]: busy[lid] for lid in self._link_order}
-        return counters, clusters, stages, links
+            for st in self.stages
+        )
+        flows = tuple(
+            tuple(
+                tuple((job(index), count) for index, count in enumerate(vector) if count)
+                for vector in (flow.pending, flow.unstarted)
+            )
+            for flow in self.flows
+        )
+        resources = (
+            tuple(until - now if until > now else 0 for until in self._link_until),
+            tuple(until - now if until > now else 0 for until in self._chan_until),
+            tuple(self._chan_busy),
+            tuple(tuple((cycles, cell(pend)) for cycles, pend in queue) for queue in self._chan_queue),
+            self._hbm_next,
+            tuple(self._dma_busy),
+            tuple(
+                (cluster, tuple((dur, packed(arg)) for dur, arg in queue))
+                for cluster, queue in enumerate(self._dma_queue)
+                if queue
+            ),
+            bytes(self._cl_seen),
+            tuple(self._link_seen),
+        )
+        # per-job vectors over every job the state can still reach: a job
+        # between its start and its last output's arrival is named by a
+        # row, a queue, a wait or an in-flight flow entry above
+        lo = min(jobs)
+        vectors = []
+        for st in self.stages:
+            started = self._started(st)
+            vectors.append(
+                (
+                    tuple(start_time - now for start_time in st.job_start[lo:started]),
+                    tuple(st.out_pending[lo:started]),
+                )
+            )
+        return (tuple(rows), stages, flows, resources, tuple(vectors)), lo, max(jobs)
+
+    @staticmethod
+    def _started(st: _CompiledStage) -> int:
+        """Jobs started so far: those past ``next_job`` that wait for an
+        output slot are the last ones taken."""
+        return st.next_job - len(st.out_wait)
+
+    def jump(self, start: int, lo: int, jobs: int, cycles: int) -> None:
+        """Move the lane's state ``jobs`` jobs and ``cycles`` cycles ahead.
+
+        The inverse reading of :meth:`recurrence_key`, called from the same
+        event with the same ``start`` and its ``lo``: every job index the
+        key re-bases moves by ``jobs``, every pending time and every
+        busy-until still in the future by ``cycles``, and the per-job
+        vectors from job ``lo`` move ``jobs`` entries on (a start time also
+        ``cycles`` later).  Records are left alone (see
+        :meth:`repeat_window`).
+        """
+        now = self.engine._now
+        moved_cells = set()
+
+        def cell(pend) -> None:
+            if pend is not None and id(pend) not in moved_cells:
+                moved_cells.add(id(pend))
+                pend[2] += jobs
+
+        def shift_queue(queue, step) -> None:
+            items = [step(item) for item in queue]
+            queue.clear()
+            queue.extend(items)
+
+        for st in self.stages:
+            started = self._started(st)
+            if lo < started:
+                st.job_start[lo + jobs:started + jobs] = [
+                    start_time + cycles for start_time in st.job_start[lo:started]
+                ]
+                st.out_pending[lo + jobs:started + jobs] = st.out_pending[lo:started]
+            for queue in (st.an_wait, st.dg_wait, st.out_wait, *st.in_wait):
+                shift_queue(queue, lambda index: index + jobs)
+            st.delivered[:] = [count + jobs for count in st.delivered]
+            st.next_job += jobs
+            st.jobs_completed += jobs
+        for flow in self.flows:
+            for vector in (flow.pending, flow.unstarted):
+                live = [(index, count) for index, count in enumerate(vector) if count]
+                for index, __ in live:
+                    vector[index] = 0
+                for index, count in live:
+                    vector[index + jobs] = count
+        for until in (self._link_until, self._chan_until):
+            for index, value in enumerate(until):
+                if value > now:
+                    until[index] = value + cycles
+        for queue in self._chan_queue:
+            for __, pend in queue:
+                cell(pend)
+        for queue in self._dma_queue:
+            if queue:
+                shift_queue(queue, lambda item: (item[0], item[1] + jobs))
+        channel_jobs = jobs * self._dma_channels
+
+        def shift_arg(op: int, arg):
+            if op == OP_HBM_ARRIVE:
+                cell(arg)
+                return arg
+            if op == OP_CHAN_DONE:
+                cell(arg[1])
+                return arg
+            if op == OP_NOC_BURST:
+                return arg + channel_jobs
+            return arg + jobs
+
+        self.engine.shift(start, cycles, shift_arg)
+
+    def _additive_lanes(self) -> Tuple[List[int], ...]:
+        return self._cl_analog, self._cl_digital, self._cl_comm, self._cl_jobs, self._link_busy
+
+    def additive_records(self) -> tuple:
+        """A copy of every record a window adds to, and each completion
+        trace's length: the ``before`` of :meth:`repeat_window`."""
+        tracer = self.tracer
+        return (
+            [getattr(tracer, name) for name in _TRAFFIC_COUNTERS],
+            [list(lane) for lane in self._additive_lanes()],
+            [
+                (st.activity.jobs_completed, st.activity.analog_busy, st.activity.digital_busy)
+                for st in self.stages
+            ],
+            [len(tracer.stage_completions.get(st.sid, ())) for st in self.stages],
+        )
+
+    def repeat_window(self, before: tuple, k: int, cycles: int) -> None:
+        """Add ``k`` more copies of the window since ``before``.
+
+        Every additive record grows by ``k`` times its increment since
+        ``before``, and every completion trace gets the window's entries
+        ``k`` more times, copy ``i`` shifted ``i * cycles`` later.
+        """
+        counters, lanes, activity, lengths = before
+        tracer = self.tracer
+        for name, then in zip(_TRAFFIC_COUNTERS, counters):
+            value = getattr(tracer, name)
+            setattr(tracer, name, value + k * (value - then))
+        for lane, then in zip(self._additive_lanes(), lanes):
+            for index, value in enumerate(lane):
+                if value != then[index]:
+                    lane[index] = value + k * (value - then[index])
+        for st, (jobs, analog, digital), length in zip(self.stages, activity, lengths):
+            act = st.activity
+            act.jobs_completed += k * (act.jobs_completed - jobs)
+            act.analog_busy += k * (act.analog_busy - analog)
+            act.digital_busy += k * (act.digital_busy - digital)
+            trace = tracer.stage_completions.get(st.sid)
+            if trace is not None:
+                window = trace[length:]
+                for copy in range(1, k + 1):
+                    shift = copy * cycles
+                    trace.extend([cycle + shift for cycle in window])
 
     # ------------------------------------------------------------------ #
     # Stage lifecycle (compiled _StageRuntime)

@@ -96,7 +96,7 @@ class Tracer:
         #: full per-stage job-completion traces: stage_id -> completion
         #: cycle of every job, in completion order.  This is the raw data
         #: behind the Fig. 5D latency staircase and the steady-state
-        #: detector (see ``docs/simulator.md`` for the schema).
+        #: fast-forward (see ``docs/simulator.md`` for the schema).
         self.stage_completions: Dict[int, List[int]] = {}
         #: per-request completion cycles of open-system (arrival-driven)
         #: workloads: job index -> cycle at which the *final* pipeline
@@ -105,10 +105,7 @@ class Tracer:
         #: request sojourn time; empty on closed-batch runs.
         self.request_completions: Dict[int, int] = {}
         #: replica-group shape of each stage: stage_id -> (replication,
-        #: digital_slots).  Round-robin dispatch over these groups is what
-        #: makes per-stage completion traces periodic with an effective
-        #: window of lcm(replication, digital_slots); the steady-state
-        #: certifier folds traces by this metadata (replica symmetry).
+        #: digital_slots), the widths jobs are dispatched over round-robin.
         self.stage_replica_groups: Dict[int, Tuple[int, int]] = {}
 
     # ------------------------------------------------------------------ #
@@ -206,8 +203,7 @@ class Tracer:
         """Return (creating if needed) the activity record of a stage.
 
         ``replication``/``digital_slots``, when provided by the engine at
-        stage registration, are stored in :attr:`stage_replica_groups` for
-        the replica-symmetry steady-state certifier.
+        stage registration, are stored in :attr:`stage_replica_groups`.
         """
         if stage_id not in self.stages:
             self.stages[stage_id] = StageActivity(stage_id, name)
@@ -264,14 +260,6 @@ class Tracer:
         arrival → delivery path.
         """
         self.request_completions[int(job_index)] = int(cycle)
-
-    def record_stage_stall(
-        self, stage_id: int, input_cycles: int = 0, output_cycles: int = 0
-    ) -> None:
-        """Record stall time a stage spent waiting for inputs/output credits."""
-        record = self.stage(stage_id)
-        record.input_stall += int(input_cycles)
-        record.output_stall += int(output_cycles)
 
     # ------------------------------------------------------------------ #
     # Traffic

@@ -279,11 +279,10 @@ class Workload:
         """A copy of this workload processing a different number of jobs.
 
         Everything else — stages, costs, data flows, bookkeeping totals —
-        is shared.  The steady-state fast-forward uses this for its probe
-        runs (:mod:`repro.sim.steady_state`).  An arrival schedule is
-        truncated alongside the job count (a prefix stays a valid
-        schedule); growing the job count of an open workload has no
-        defined arrival times for the new jobs and is rejected.
+        is shared.  An arrival schedule is truncated alongside the job
+        count (a prefix stays a valid schedule); growing the job count of
+        an open workload has no defined arrival times for the new jobs and
+        is rejected.
         """
         arrivals = self.arrival_cycles
         if arrivals:
@@ -330,8 +329,15 @@ class Workload:
         return max(candidates, key=lambda stage: stage.stage_id)
 
     def validate(self, n_clusters: int) -> None:
-        """Check stage references and cluster indices against the system size."""
+        """Check stage references and cluster indices against the system size,
+        and that every external feed is one transfer per job."""
         ids = {stage.stage_id for stage in self.stages}
+        produced = {
+            (flow.kind, flow.label)
+            for stage in self.stages
+            for flow in stage.outputs
+            if flow.kind != ENDPOINT_STAGE
+        }
         for stage in self.stages:
             clusters = stage.clusters
             if (stage.inputs or stage.outputs) and not clusters:
@@ -359,6 +365,20 @@ class Workload:
                     raise ValueError(
                         f"stage {stage.stage_id} references storage cluster "
                         f"{flow.storage_cluster} outside the system"
+                    )
+            for flow in stage.inputs:
+                # a feed (an input no stage produces) is fetched from the HBM
+                # as one transfer per job; both kernels would ignore a chunk
+                # count, so it is an error rather than a silent no-op
+                if (
+                    flow.kind != ENDPOINT_STAGE
+                    and (flow.kind, flow.label) not in produced
+                    and flow.transfers_per_job != 1
+                ):
+                    raise ValueError(
+                        f"stage {stage.stage_id} ({stage.name}) feed "
+                        f"{flow.label!r} is fetched as one transfer per job, "
+                        f"but asks for transfers_per_job={flow.transfers_per_job}"
                     )
 
 

@@ -275,7 +275,7 @@ class TestStoreRobustness:
         """
         from repro.sim.system import SIMULATION_PAYLOAD_VERSION
 
-        assert SIMULATION_PAYLOAD_VERSION == 5  # 5: the exact table-lane DMA queue
+        assert SIMULATION_PAYLOAD_VERSION == 6  # 6: refusals of the state-recurrence fast-forward
         store = ArtifactStore(tmp_path / "sim-payload-store")
         cache = ArtifactCache(store=store)
         graph, arch = TINY.build_graph(), TINY.build_arch()

@@ -204,21 +204,20 @@ class TestWorkloadField:
 
 
 # --------------------------------------------------------------------------- #
-# Steady-state fast-forward refusal
+# Fast-forward refusal
 # --------------------------------------------------------------------------- #
 class TestFastForwardRefusal:
-    def test_probe_refuses_open_workloads(self):
-        from repro.sim.steady_state import REFUSAL_OPEN_WORKLOAD, FastForwardRefusal
+    def test_open_workloads_are_refused_up_front(self):
+        from repro.sim.steady_state import REFUSAL_OPEN_WORKLOAD
 
         workload = _chain(n_jobs=96, replication=2)
-        engaged = fast_forward_simulate(ARCH64, workload)
-        assert not isinstance(engaged, FastForwardRefusal)  # periodic
+        assert fast_forward_simulate(ARCH64, workload).fast_forwarded  # periodic
         open_workload = workload.with_arrivals(
             DeterministicArrivals(300).generate(96)
         )
-        refusal = fast_forward_simulate(ARCH64, open_workload)
-        assert isinstance(refusal, FastForwardRefusal)
-        assert refusal.reason == REFUSAL_OPEN_WORKLOAD
+        result = fast_forward_simulate(ARCH64, open_workload)
+        assert not result.fast_forwarded
+        assert result.fast_forward_refusal.reason == REFUSAL_OPEN_WORKLOAD
 
     @pytest.mark.parametrize("engine", ["python", "table"])
     def test_simulate_takes_verified_fallback(self, engine):
@@ -226,17 +225,14 @@ class TestFastForwardRefusal:
             PoissonArrivals(400.0, seed=2).generate(96)
         )
         full = simulate(ARCH64, open_workload, engine=engine)
-        ff = simulate(ARCH64, open_workload, fast_forward=True, engine=engine)
+        ff = simulate(ARCH64, open_workload, fast_forward=True)
         assert not full.fast_forwarded
         assert not ff.fast_forwarded  # provenance: the full run really ran
         assert ff.fast_forward_refusal is not None  # ...and says why
         assert result_mismatches(full, ff, ignore_provenance=True) == []
         assert len(ff.request_latencies()) == 96
         # the closed twin of the same pipeline still fast-forwards
-        closed = simulate(
-            ARCH64, _chain(n_jobs=96, replication=2),
-            fast_forward=True, engine=engine,
-        )
+        closed = simulate(ARCH64, _chain(n_jobs=96, replication=2), fast_forward=True)
         assert closed.fast_forwarded
 
 

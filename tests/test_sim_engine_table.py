@@ -476,14 +476,15 @@ def _record_rows(monkeypatch):
 
 def _two_stage(n_chunks, n_jobs=4, n_bytes=4096):
     """HBM -> stage 0 -> stage 1 -> HBM, ``n_bytes`` per job on every flow,
-    each stage-to-stage and write flow cut into ``n_chunks``."""
+    each stage-to-stage and write flow cut into ``n_chunks`` (the feed is
+    one transfer per job)."""
     cost = StageCost(analog_cycles_per_job=50, analog_macs_per_job=1)
     first = StageDescriptor(
         stage_id=0,
         name="first",
         analog_replicas=((0,),),
         cost=cost,
-        inputs=(DataFlow("hbm", n_bytes, label="in", transfers_per_job=n_chunks),),
+        inputs=(DataFlow("hbm", n_bytes, label="in"),),
         outputs=(DataFlow("stage", n_bytes, stage_id=1, transfers_per_job=n_chunks),),
     )
     second = StageDescriptor(

@@ -28,9 +28,9 @@ Five layers of coverage:
   zero-latency HBM and one or two DMA channels — where same-cycle
   insertion order decides who a queue serves first, plus a named
   reproducer of each divergence it has found;
-* the fast-forward, whose probes always run shortened copies of the
-  workload on the table lane, against its own full run and against the
-  object kernel's.
+* the fast-forward, which runs the table lane and jumps ahead when its
+  state recurs, against its own full run and against the object kernel's,
+  on the known shapes, random pipelines and the coincidence sweep.
 """
 
 import dataclasses
@@ -163,9 +163,17 @@ def _with_channels(arch, hbm_channels: int, dma_channels: int):
 
 
 def _chunked(workload: Workload, n_chunks: int) -> Workload:
-    """``workload`` with every data flow split into ``n_chunks`` transfers."""
+    """``workload`` with every data flow but the external feeds (one
+    transfer per job) split into ``n_chunks`` transfers."""
+    produced = {(f.kind, f.label) for st in workload.stages for f in st.outputs}
+
     def split(flows):
-        return tuple(dataclasses.replace(f, transfers_per_job=n_chunks) for f in flows)
+        return tuple(
+            dataclasses.replace(f, transfers_per_job=n_chunks)
+            if f.kind == "stage" or (f.kind, f.label) in produced
+            else f
+            for f in flows
+        )
 
     return dataclasses.replace(
         workload,
@@ -336,7 +344,9 @@ def _coincidence_case(rng: random.Random):
     for i in range(n_stages):
         inputs = ()
         if i == 0 or rng.random() < 0.3:
-            inputs = (flow("hbm", label=f"in{i}"),)
+            # a feed is one transfer per job; its chunk count is still drawn
+            feed = flow("hbm", label=f"in{i}")
+            inputs = (dataclasses.replace(feed, transfers_per_job=1),)
         if i > 0:
             inputs = (dataclasses.replace(links[i - 1], stage_id=i - 1),) + inputs
         outputs = (links[i],) if i < n_stages - 1 else ()
@@ -424,13 +434,13 @@ class TestCoincidenceSweep:
         workload = Workload(
             "queued-link-tie",
             [
-                _stage(0, ((28,),), 1, 1, (_hbm("in", 128, 3),),
+                _stage(0, ((28,),), 1, 1, (_hbm("in", 128, 1),),
                        (_edge(1, 63, 4), _hbm("out0", 1, 7))),
                 _stage(1, ((60, 52),), 5, 4, (_edge(0, 63, 4),), (_edge(2, 256, 2),)),
-                _stage(2, ((11, 56),), 8, 1, (_edge(1, 256, 2), _hbm("feed2", 1, 2)),
+                _stage(2, ((11, 56),), 8, 1, (_edge(1, 256, 2), _hbm("feed2", 1, 1)),
                        (_edge(3, 64, 3),)),
                 _stage(3, ((6, 32), (29,), (20,)), 5, 4,
-                       (_edge(2, 64, 3), _hbm("feed3", 129, 4)),
+                       (_edge(2, 64, 3), _hbm("feed3", 129, 1)),
                        (_edge(4, 256, 7), _hbm("res", 128, 7))),
                 _stage(4, ((38,), (33, 31)), 5, 4,
                        (_edge(3, 256, 7), _hbm("res", 128, 7)), (_hbm("out4", 128, 7),)),
@@ -577,7 +587,7 @@ class TestZeroByteFeed:
 
 
 # --------------------------------------------------------------------------- #
-# The fast-forward (its probe always runs the table lane) vs full runs
+# The fast-forward (it always runs the table lane) vs full runs
 # --------------------------------------------------------------------------- #
 class TestBoundedRunEquivalence:
     @pytest.mark.parametrize(
@@ -601,8 +611,8 @@ class TestBoundedRunEquivalence:
     def test_table_fast_forward_matches_the_object_kernel_full_run(
         self, name, workload, must_engage
     ):
-        """The probe runs on the table lane; the reference is the object
-        kernel simulating every job."""
+        """The fast-forward runs on the table lane; the reference is the
+        object kernel simulating every job."""
         full = simulate(ARCH64, workload, engine="python")
         ff = simulate(ARCH64, workload, fast_forward=True, engine="table")
         if must_engage:
@@ -657,22 +667,59 @@ class TestBoundedRunEquivalence:
         assert ff.fast_forwarded
         assert result_mismatches(full, ff, ignore_provenance=True) == []
 
-    def test_the_probe_runs_the_table_lane_and_a_fallback_the_requested_engine(
-        self, monkeypatch
-    ):
-        """``engine`` only selects the kernel of a full run: an engaged
-        fast-forward never builds the object kernel, a refused one runs it."""
+    def test_fast_forward_simulates_once_on_the_table_lane(self, monkeypatch):
+        """Engaged or refused, a fast-forward builds one table-lane
+        simulator: a refusal is the full run itself, not a second one."""
         engines = _record_simulator_engines(monkeypatch)
-        engaged = simulate(
-            ARCH64, _chain(n_jobs=96, replication=2), fast_forward=True,
-            engine="python",
-        )
+        engaged = simulate(ARCH64, _chain(n_jobs=96, replication=2), fast_forward=True)
         assert engaged.fast_forwarded
-        assert engines and set(engines) == {"table"}
+        assert engines == ["table"]
         engines.clear()
-        refused = simulate(ARCH64, _chain(n_jobs=8), fast_forward=True, engine="python")
+        refused = simulate(ARCH64, _chain(n_jobs=8), fast_forward=True)
         assert refused.fast_forward_refusal is not None
-        assert engines[-1] == "python"
+        assert engines == ["table"]
+
+
+class TestFastForwardCoincidence:
+    """The fast-forward on the coincidence generator, grown to 48, 96 and
+    200 jobs, where a jump must carry every same-cycle tie across."""
+
+    def test_sweep_matches_the_full_run(self):
+        seeds = 90
+        jumped = 0
+        for seed in range(seeds):
+            n_jobs = (48, 96, 200)[seed % 3]
+            arch, workload, model_contention, buffer_depth = _coincidence_case(
+                random.Random(seed)
+            )
+            workload = dataclasses.replace(workload, n_jobs=n_jobs, batch_size=n_jobs)
+            full = simulate(arch, workload, model_contention, buffer_depth)
+            ff = simulate(arch, workload, model_contention, buffer_depth, fast_forward=True)
+            jumped += ff.fast_forwarded
+            mismatches = result_mismatches(full, ff, ignore_provenance=True)
+            assert mismatches == [], f"seed {seed}, {n_jobs} jobs: {mismatches}"
+        # refusals alone must not pass the sweep
+        assert jumped >= 0.4 * seeds, jumped
+
+    @pytest.mark.parametrize(
+        "seed",
+        [
+            # contention on, depth 2: an observational certifier of
+            # window increments extrapolated a makespan of 44332 (44977)
+            668,
+            # contention off, depth 3: the replica-symmetry certifier
+            # extrapolated a makespan of 44022 (44332)
+            551,
+        ],
+    )
+    def test_a_coincident_200_job_run_matches_the_object_kernel(self, seed):
+        arch, workload, model_contention, buffer_depth = _coincidence_case(
+            random.Random(seed)
+        )
+        workload = dataclasses.replace(workload, n_jobs=200, batch_size=200)
+        full = simulate(arch, workload, model_contention, buffer_depth, engine="python")
+        ff = simulate(arch, workload, model_contention, buffer_depth, fast_forward=True)
+        assert result_mismatches(full, ff, ignore_provenance=True) == []
 
 
 # --------------------------------------------------------------------------- #
@@ -751,7 +798,7 @@ class TestDefaultEngine:
 
 def _record_simulator_engines(monkeypatch):
     """Record the ``engine`` of every :class:`SystemSimulator` built from
-    here on (probe simulators included) into the returned list."""
+    here on (fast-forward simulators included) into the returned list."""
     from repro.sim import SystemSimulator
 
     engines = []

@@ -117,6 +117,49 @@ class TestWorkloadIR:
         with pytest.raises(ValueError, match=r"stage 0 \(empty\) has data flows"):
             simulate(ArchConfig.paper(), workload, engine=engine)
 
+    @pytest.mark.parametrize("kind", ["hbm", "storage"])
+    def test_a_chunked_feed_is_rejected(self, kind):
+        """A feed (an input no stage produces) is fetched as one transfer
+        per job; a chunk count on it would be silently ignored."""
+        workload = _linear_workload()
+        first = workload.stages[0]
+        feed = DataFlow(kind, 64, storage_cluster=5 if kind == "storage" else None,
+                        label="side", transfers_per_job=4)
+        stages = [
+            StageDescriptor(
+                stage_id=0, name=first.name, analog_replicas=first.analog_replicas,
+                cost=first.cost, inputs=first.inputs + (feed,), outputs=first.outputs,
+            ),
+            *workload.stages[1:],
+        ]
+        workload = Workload("chunked-feed", stages, n_jobs=4, batch_size=4, tiles_per_image=1)
+        with pytest.raises(ValueError, match=r"stage 0 \(stage0\) feed 'side'"):
+            workload.validate(n_clusters=8)
+
+    @pytest.mark.parametrize("kind", ["hbm", "storage"])
+    def test_a_relayed_input_keeps_its_chunks(self, kind):
+        """An HBM or storage input that a stage writes is a relay: its
+        chunk count is the simulated one."""
+        storage = 5 if kind == "storage" else None
+        residual = DataFlow(kind, 4096, storage_cluster=storage, label="res",
+                            buffer_depth=4, transfers_per_job=4)
+        workload = _linear_workload()
+        first, middle, last = workload.stages
+        stages = [
+            StageDescriptor(
+                stage_id=0, name=first.name, analog_replicas=first.analog_replicas,
+                cost=first.cost, inputs=first.inputs, outputs=first.outputs + (residual,),
+            ),
+            middle,
+            StageDescriptor(
+                stage_id=2, name=last.name, analog_replicas=last.analog_replicas,
+                cost=last.cost, inputs=last.inputs + (residual,), outputs=last.outputs,
+            ),
+        ]
+        workload = Workload("relay", stages, n_jobs=4, batch_size=4, tiles_per_image=1)
+        workload.validate(n_clusters=8)
+        assert simulate(ArchConfig.scaled(8), workload).completed
+
     def test_digital_groups_cut_the_clusters_into_slots(self):
         def groups(clusters, slots):
             return StageDescriptor(
